@@ -191,7 +191,9 @@ int RunAnalytic(const RunOptions& options) {
 
   report.Add("setup_s", loaded.setup_s, "s");
   report.Add("queries_per_s", static_cast<double>(outcomes.size()) / elapsed, "1/s");
-  AddLatency(&report, "latency_", latency_ms);
+  // Every run measures at least one whole round, so the tail percentile
+  // is planned on one round's sample.
+  AddLatency(&report, "latency_", latency_ms, combos.size());
   std::string rounds;
   for (size_t i = 0; i < outcomes.size(); i += combos.size()) {
     double sum = 0;

@@ -56,21 +56,20 @@ double Median(std::vector<double> values) {
   return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-LatencySummary Summarize(const std::vector<double>& values) {
+LatencySummary Summarize(const std::vector<double>& values, size_t planned) {
   LatencySummary s;
   s.count = values.size();
   s.p50 = Median(values);
+  // Fewer than 20 planned samples: no percentile has ten beyond it, so
+  // the maximum is reported.
+  s.tail_percentile = 100.0;
   for (double p : {99.9, 99.0, 95.0, 90.0, 75.0, 50.0}) {
-    const double beyond = static_cast<double>(values.size()) * (100.0 - p) / 100.0;
-    if (beyond >= 10.0) {
+    if (static_cast<double>(planned) * (100.0 - p) / 100.0 >= 10.0) {
       s.tail_percentile = p;
-      s.tail = Percentile(values, p);
-      return s;
+      break;
     }
   }
-  // Fewer than 20 samples: no percentile has ten beyond it; report the
-  // maximum and flag the percentile as 0.
-  s.tail = values.empty() ? 0.0 : *std::max_element(values.begin(), values.end());
+  s.tail = Percentile(values, s.tail_percentile);
   return s;
 }
 
@@ -385,8 +384,8 @@ void Report::Print(bool correct, int64_t attempted, int64_t failed,
 }
 
 void AddLatency(Report* report, const std::string& prefix,
-                const std::vector<double>& millis) {
-  const LatencySummary s = Summarize(millis);
+                const std::vector<double>& millis, size_t planned) {
+  const LatencySummary s = Summarize(millis, planned);
   report->Add(prefix + "p50_ms", s.p50, "ms");
   report->Add(prefix + "tail_ms", s.tail, "ms");
   char buf[96];

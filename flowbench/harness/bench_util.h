@@ -57,14 +57,17 @@ double Percentile(std::vector<double> values, double p);
 double Median(std::vector<double> values);
 
 /// A latency summary: median plus the highest percentile of the ladder
-/// {99.9, 99, 95, 90, 75, 50} that has at least ten samples beyond it.
+/// {99.9, 99, 95, 90, 75, 50} that has at least ten samples beyond it in
+/// a sample of `planned` entries. `planned` is the size the run's
+/// settings give the sample, never the size measured, so a program that
+/// gets faster or slower is still compared at the same percentile.
 struct LatencySummary {
   size_t count = 0;
   double p50 = 0.0;
   double tail = 0.0;
-  double tail_percentile = 0.0;  // 0 when the sample has < 20 entries
+  double tail_percentile = 0.0;  // 100 (the maximum) when planned < 20
 };
-LatencySummary Summarize(const std::vector<double>& values);
+LatencySummary Summarize(const std::vector<double>& values, size_t planned);
 
 /// Peak resident set size of this process, MiB.
 double PeakRssMb();
@@ -197,12 +200,13 @@ struct RunOptions {
 };
 
 /// Records `report` metrics for a latency sample under `prefix`
-/// ("<prefix>p50_ms", "<prefix>tail_ms") and notes the percentile used.
+/// ("<prefix>p50_ms", "<prefix>tail_ms") and notes the percentile used
+/// and the sample count; see Summarize for `planned`.
 void AddLatency(Report* report, const std::string& prefix,
-                const std::vector<double>& millis);
+                const std::vector<double>& millis, size_t planned);
 
 /// Setup repetitions per run; setup_s is their median.
-constexpr int kSetupRepeats = 5;
+constexpr int kSetupRepeats = 9;
 
 }  // namespace flowbench
 

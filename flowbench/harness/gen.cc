@@ -147,6 +147,7 @@ LoadedGraph LoadGraphTimed(const std::string& path) {
       std::exit(1);
     }
     const double load_s = SecondsSince(t0);
+    out.graph = TimeSeriesGraph();  // release the previous repetition first
     const auto t1 = SteadyClock::now();
     out.graph = TimeSeriesGraph::Build(*multigraph);
     const double build_s = SecondsSince(t1);
@@ -174,7 +175,6 @@ void AddContextNotes(const RunOptions& options, Report* report) {
   report->Note("build_type", FLOWBENCH_BUILD_TYPE);
   report->Note("compiler", FLOWBENCH_COMPILER);
   report->Note("optimized", OptimizedBuild() ? "true" : "false");
-  report->Note("failpoints", FLOWBENCH_FAILPOINTS ? "on" : "off");
   report->Note("scale", std::to_string(options.scale));
 }
 

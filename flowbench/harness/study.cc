@@ -37,6 +37,9 @@ constexpr int kRandomGraphs = 20;
 // Window-cache capacity the significance analyzer gives its ensemble
 // cache; the traced decomposition mirrors it.
 constexpr size_t kEnsembleCacheEntries = 4096;
+// A run measures at least this many whole rounds (of 20 queries), so the
+// tail percentile is planned on 100 samples: p90.
+constexpr size_t kMinRounds = 5;
 
 struct Query {
   size_t motif;
@@ -86,6 +89,7 @@ int RunStudy(const RunOptions& options) {
   SplitMix64 rng(DeriveSeed(options.seed, "schedule:study"));
   std::vector<Query> round;
   size_t round_pos = 0;
+  size_t rounds = 0;
   uint64_t schedule_digest = Fnv1a(&permutation_seed, sizeof(permutation_seed));
   auto next_query = [&]() {
     if (round_pos == round.size()) {
@@ -96,6 +100,7 @@ int RunStudy(const RunOptions& options) {
       }
       for (size_t i = round.size(); i > 1; --i) std::swap(round[i - 1], round[rng.Below(i)]);
       round_pos = 0;
+      ++rounds;
     }
     const Query q = round[round_pos++];
     schedule_digest = Fnv1a(&q.motif, sizeof(q.motif), schedule_digest);
@@ -103,11 +108,13 @@ int RunStudy(const RunOptions& options) {
     return q;
   };
 
-  // Untraced closed loop over whole rounds (see analytic.cc).
+  // Untraced closed loop over whole rounds (see analytic.cc), at least
+  // kMinRounds of them.
   std::vector<Outcome> outcomes;
   std::vector<double> latency_ms;
   const auto start = SteadyClock::now();
-  while (SecondsSince(start) < options.seconds || round_pos < round.size()) {
+  while (rounds < kMinRounds || round_pos < round.size() ||
+         SecondsSince(start) < options.seconds) {
     const Query q = next_query();
     Outcome o;
     o.query = q;
@@ -191,7 +198,7 @@ int RunStudy(const RunOptions& options) {
 
   report.Add("setup_s", loaded.setup_s, "s");
   report.Add("queries_per_s", static_cast<double>(outcomes.size()) / elapsed, "1/s");
-  AddLatency(&report, "latency_", latency_ms);
+  AddLatency(&report, "latency_", latency_ms, kMinRounds * 2 * motifs.size());
 
   if (options.trace) {
     // Traced pass over the same query list. Significance is decomposed

@@ -199,7 +199,6 @@ def main():
         "source_digest": source_digest(),
         "build_type": notes.get("build_type"),
         "compiler": notes.get("compiler"),
-        "failpoints": notes.get("failpoints"),
         "nproc": os.cpu_count(),
         "loadavg": [round(x, 2) for x in os.getloadavg()],
         "cpu_steal_frac": steal,
