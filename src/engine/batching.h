@@ -6,37 +6,24 @@
 #include <vector>
 
 #include "core/motif.h"
-#include "util/partition.h"
 
 namespace flowmotif {
 
-/// A contiguous range [begin, end) of structural-match indices processed
-/// as one unit by a worker thread.
-using MatchBatch = IndexRange;
-
-/// Partitions [0, num_matches) into contiguous batches — the engine's
-/// name for util/partition's shared chunking heuristic. With
-/// `batch_size` == 0 the size is derived so each thread gets several
-/// batches (dynamic scheduling then absorbs matches of very different
-/// cost — phase-P2 work per match varies by orders of magnitude).
-/// Batches are returned in index order; merging per-batch outputs in
-/// that order reproduces serial processing order.
-inline std::vector<MatchBatch> PartitionMatches(int64_t num_matches,
-                                                int num_threads,
-                                                int64_t batch_size = 0) {
-  return PartitionIndexSpace(num_matches, num_threads, batch_size);
-}
-
 /// Coordinates the deterministic hand-off from parallel phase P1 to
-/// phase P2 in the engine's streamed execution path. P1 shard tasks
+/// phase P2 in the engine's execution pipeline. P1 shard tasks
 /// (contiguous ranges of structural-match work units) complete in
 /// arbitrary order; a shard's matches are released only once every
 /// earlier shard has completed, so released matches always form a
 /// contiguous prefix of the serial P1 order and each match's global
 /// index — the DiscoveryRank key phase P2 needs — is known at release
 /// time. Thread-safe; a released buffer stays valid until FreeShard
-/// reclaims it (or the merger dies), so streamed runs free each
-/// shard's matches as soon as its last P2 batch retires.
+/// reclaims it (or the merger dies), so the engine frees each shard's
+/// matches as soon as its last P2 batch retires.
+///
+/// With `max_matches` >= 0 the merger also applies the exact match
+/// budget: no match at canonical index >= max_matches is released (the
+/// shard straddling the cap is cut, later shards release empty), and
+/// truncated() reports whether any match was dropped.
 class ShardPrefixMerger {
  public:
   struct ReleasedShard {
@@ -46,7 +33,7 @@ class ShardPrefixMerger {
     const std::vector<MatchBinding>* matches = nullptr;
   };
 
-  explicit ShardPrefixMerger(int64_t num_shards);
+  explicit ShardPrefixMerger(int64_t num_shards, int64_t max_matches = -1);
 
   struct ReleasedShardEntry {
     int64_t shard = 0;  // pass back to FreeShard when fully consumed
@@ -70,12 +57,17 @@ class ShardPrefixMerger {
   /// completed). Intended for after-the-fact stats, not coordination.
   int64_t num_released() const;
 
+  /// True once a released shard had a match cut by max_matches.
+  bool truncated() const;
+
  private:
   mutable std::mutex mu_;
   std::vector<std::vector<MatchBinding>> shards_;
   std::vector<bool> complete_;
   int64_t next_unreleased_ = 0;   // first shard not yet released
   int64_t released_matches_ = 0;  // total matches in released shards
+  const int64_t max_matches_;     // -1 = unlimited
+  bool truncated_ = false;
 };
 
 }  // namespace flowmotif

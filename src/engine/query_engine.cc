@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -14,6 +15,7 @@
 #include "util/cancellation.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
+#include "util/partition.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -88,22 +90,15 @@ void OverlayPoolError(ThreadPool* pool, Termination* termination) {
 }
 
 EnumerationOptions ToEnumerationOptions(const QueryOptions& options,
+                                        SharedWindowCache* cache,
                                         QueryControl* control) {
   EnumerationOptions eopts;
   eopts.delta = options.delta;
   eopts.phi = options.phi;
   eopts.strict_maximality = options.strict_maximality;
+  eopts.shared_window_cache = cache;
   eopts.query_control = control;
   return eopts;
-}
-
-/// Wires one per-query window cache into the query lifecycle: budget
-/// charges go to `control`, and misses fall through to the caller's
-/// cross-query tier when QueryOptions carries one (serve/QueryService).
-void AttachWindowCache(SharedWindowCache* cache, QueryControl* control,
-                       const QueryOptions& options) {
-  cache->set_query_control(control);
-  cache->set_fallback_tier(options.shared_cache_tier);
 }
 
 /// kTopK stat normalization, applied after the final collector drain:
@@ -119,167 +114,269 @@ void FinalizeTopKStats(EnumerationResult* stats, size_t num_entries) {
   stats->num_phi_prunes = 0;
 }
 
-/// P2 batch cap of the streamed path. Batches are cut per released P1
-/// shard, so the usual count-derived size is unavailable; a fixed cap
-/// keeps batches small enough for load balancing and is
-/// timing-independent, so the batch layout is deterministic.
-constexpr int64_t kStreamedBatchCap = 256;
+/// P2 batch cap with more than one thread. Batches are cut per released
+/// P1 shard (or from the caller's match list), so the size never
+/// depends on completion timing and the batch layout is deterministic;
+/// the cap keeps batches small enough for load balancing. At one thread
+/// each shard is one batch — the serial scan-then-process layout.
+constexpr int64_t kBatchCap = 256;
 
-/// The per-match bodies below are shared by the barrier and streamed
-/// execution paths, so their semantics (DiscoveryRank keys, counter
-/// accounting, threshold feeding) cannot silently diverge.
+/// One P2 batch: a contiguous run of matches in canonical (serial
+/// discovery) order.
+struct MatchRun {
+  int64_t first = 0;  // canonical index of *begin (the DiscoveryRank key)
+  int64_t shard = 0;  // P1 shard the run came from
+  const MatchBinding* begin = nullptr;
+  const MatchBinding* end = nullptr;
 
-/// Enumerates one contiguous run of matches, streaming instances to
-/// `visitor` (which may be null for counters-only). `control` (may be
-/// null) is checked per match at site "p2.batch"; a stop ends the run
-/// after a leading prefix of its matches, so num_structural_matches <
-/// (end - begin) marks the run incomplete.
-EnumerationResult EnumerateRun(const FlowMotifEnumerator& enumerator,
-                               const MatchBinding* begin,
-                               const MatchBinding* end,
-                               const InstanceVisitor& visitor,
-                               QueryControl* control) {
-  EnumerationResult stats;
-  WallTimer timer;
+  int64_t size() const { return end - begin; }
+};
+
+using BatchFn = std::function<void(const MatchRun&)>;
+
+struct PipelineStats {
+  double p1_cpu_seconds = 0.0;  // aggregate across P1 shard tasks
+  int64_t num_released = 0;     // matches the merger released
+  int64_t num_batches = 0;
+  /// Smallest shard whose P1 scan the control stopped; int64_t max when
+  /// none was. Runs from later shards are not part of any canonical
+  /// prefix.
+  int64_t stopped_shard_min = std::numeric_limits<int64_t>::max();
+};
+
+/// The engine's one P1→P2 route. P1 shard tasks (contiguous work-unit
+/// ranges of StructuralMatcher) hand their matches to a
+/// ShardPrefixMerger, which releases them as a contiguous prefix of the
+/// serial order; each released shard is cut into MatchRuns that run
+/// `batch_fn` on the same pool, concurrently with later P1 shards. With
+/// `given` non-null P1 is skipped and the list is released as one
+/// pre-released shard. At one thread the pool runs every task inline,
+/// so the pipeline degenerates to the serial scan-then-process order.
+///
+/// Under a control a shard whose scan stops keeps its leading units (a
+/// canonical prefix within the shard) and is recorded in
+/// stopped_shard_min. WorkBudget::max_matches is applied by the merger:
+/// nothing past canonical index max_matches is released, and a dropped
+/// match is reported as a soft kBudgetExceeded at "p1.unit".
+PipelineStats RunPipeline(const TimeSeriesGraph& graph, const Motif& motif,
+                          const QueryOptions& options,
+                          const std::vector<MatchBinding>* given,
+                          ThreadPool* pool, QueryControl* control,
+                          const BatchFn& batch_fn) {
+  const StructuralMatcher matcher(graph, motif);
+  // P1 shards: contiguous work-unit ranges, several per worker so
+  // dynamic scheduling absorbs the match-density skew across origins.
+  const std::vector<IndexRange> ranges =
+      given != nullptr
+          ? std::vector<IndexRange>(1)
+          : PartitionIndexSpace(matcher.NumWorkUnits(), pool->num_threads());
+  const int64_t num_shards = static_cast<int64_t>(ranges.size());
+  // 0 = one batch per shard.
+  const int64_t batch_cap =
+      options.batch_size > 0       ? options.batch_size
+      : pool->num_threads() == 1 ? 0
+                                   : kBatchCap;
+  const int64_t max_matches =
+      control != nullptr ? control->budget().max_matches : -1;
+
+  ShardPrefixMerger merger(num_shards, max_matches);
+  // Outstanding P2 batches per shard: the last batch to finish frees
+  // the shard's match buffer, so peak memory tracks the in-flight
+  // window rather than the full match list. Stored before the shard's
+  // batches are submitted (a batch may start on another worker
+  // immediately).
+  std::vector<std::atomic<int64_t>> pending_batches(ranges.size());
+  // Per-shard accounting, each slot written by the one task that scans
+  // or releases the shard and read after pool->Wait().
+  std::vector<double> p1_seconds(ranges.size(), 0.0);
+  std::vector<int64_t> num_batches(ranges.size(), 0);
+  // Relaxed is enough: read after pool->Wait().
+  std::atomic<int64_t> stopped_min{std::numeric_limits<int64_t>::max()};
+
+  // Cuts one released shard into P2 batches and submits them to the
+  // *front* of the pool's queue: they must run ahead of the still-
+  // queued P1 shard tasks, or FIFO order would finish all of P1 (every
+  // shard buffer live at once) before P2 starts — the batch/free
+  // cadence is what bounds in-flight memory.
+  const auto release = [&](int64_t shard, int64_t first,
+                           const std::vector<MatchBinding>& matches) {
+    const int64_t n = static_cast<int64_t>(matches.size());
+    const int64_t cap = batch_cap > 0 ? batch_cap : std::max<int64_t>(n, 1);
+    const int64_t shard_batches = (n + cap - 1) / cap;
+    if (shard_batches == 0) {
+      merger.FreeShard(shard);
+      return;
+    }
+    num_batches[static_cast<size_t>(shard)] = shard_batches;
+    pending_batches[static_cast<size_t>(shard)].store(
+        shard_batches, std::memory_order_relaxed);
+    for (int64_t b = 0; b < n; b += cap) {
+      const MatchRun run{first + b, shard, matches.data() + b,
+                         matches.data() + std::min(n, b + cap)};
+      pool->SubmitFront([&batch_fn, &merger, &pending_batches, run] {
+        batch_fn(run);
+        // acq_rel orders every batch's reads of the buffer before the
+        // last decrementer's free.
+        if (pending_batches[static_cast<size_t>(run.shard)].fetch_sub(
+                1, std::memory_order_acq_rel) == 1) {
+          merger.FreeShard(run.shard);
+        }
+      });
+    }
+  };
+
+  if (given != nullptr) {
+    release(0, 0, *given);
+  }
+  // Every task — P1 shard and P2 batch alike — goes through the one
+  // pool; a shard task that completes the release prefix submits the
+  // batches of every shard it released. Tasks never block on each
+  // other, so the single Wait() below drains the whole pipeline. All
+  // state outlives Wait(), so reference captures are safe.
+  for (int64_t r = 0; given == nullptr && r < num_shards; ++r) {
+    pool->Submit([&, r] {
+      WallTimer timer;
+      const IndexRange& range = ranges[static_cast<size_t>(r)];
+      std::vector<MatchBinding> shard;
+      // A shard holding more than max_matches matches already proves
+      // the cap is hit (its first canonical index is >= 0), so it stops
+      // scanning there.
+      const auto collect = [&shard, max_matches](const MatchBinding& m) {
+        shard.push_back(m);
+        return max_matches < 0 ||
+               static_cast<int64_t>(shard.size()) <= max_matches;
+      };
+      if (control == nullptr) {
+        matcher.FindInUnits(range.begin, range.end, collect);
+      } else {
+        // Per-unit scan with a cancellation point.
+        for (int64_t u = range.begin; u < range.end; ++u) {
+          if (control->CheckAt(failpoint::kP1Unit)) {
+            int64_t cur = stopped_min.load(std::memory_order_relaxed);
+            while (r < cur && !stopped_min.compare_exchange_weak(
+                                  cur, r, std::memory_order_relaxed)) {
+            }
+            break;
+          }
+          if (!matcher.FindInUnits(u, u + 1, collect)) break;
+        }
+      }
+      p1_seconds[static_cast<size_t>(r)] = timer.ElapsedSeconds();
+      for (const ShardPrefixMerger::ReleasedShardEntry& entry :
+           merger.Complete(r, std::move(shard))) {
+        release(entry.shard, entry.released.first_match_index,
+                *entry.released.matches);
+      }
+    });
+  }
+  pool->Wait();
+  if (merger.truncated()) {
+    control->MarkTruncated(TerminationCode::kBudgetExceeded,
+                           failpoint::kP1Unit, "max_matches");
+  }
+  PipelineStats stats;
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    stats.p1_cpu_seconds += p1_seconds[r];
+    stats.num_batches += num_batches[r];
+  }
+  stats.num_released = merger.num_released();
+  stats.stopped_shard_min = stopped_min.load(std::memory_order_relaxed);
+  return stats;
+}
+
+/// Per-batch outputs of one pipeline pass, recorded concurrently and
+/// folded in canonical match order — never a torn merge.
+template <typename Out>
+class BatchOutputs {
+ public:
+  void Add(const MatchRun& run, Out out) {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.push_back({run.first, run.shard, run.size(), std::move(out)});
+  }
+
+  /// The canonical-prefix fold. Calls `fold(out)` — which merges one
+  /// output and returns how many of its leading matches it covers — in
+  /// match order, and stops at a gap (a batch that never ran), at a
+  /// batch from a shard after `stopped_shard_min`, or after the first
+  /// short batch, whose leading partial output is still included.
+  /// Returns the number of matches folded. Call after the pipeline
+  /// drained.
+  template <typename FoldFn>
+  int64_t Fold(int64_t stopped_shard_min, FoldFn fold) {
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry& a, const Entry& b) { return a.first < b.first; });
+    int64_t expected = 0;
+    int64_t matches_done = 0;
+    for (Entry& e : entries_) {
+      if (e.first != expected || e.shard > stopped_shard_min) break;
+      const int64_t done = fold(e.out);
+      matches_done += done;
+      if (done != e.size) break;
+      expected += e.size;
+    }
+    return matches_done;
+  }
+
+ private:
+  struct Entry {
+    int64_t first;
+    int64_t shard;
+    int64_t size;
+    Out out;
+  };
+  std::mutex mu_;
+  std::vector<Entry> entries_;
+};
+
+/// The P2 loop shared by every mode but kTop1 (whose DP searcher runs
+/// its own, checked at "dp.match"): `body(match, canonical_index)` per
+/// match. `control` (may be null) is checked per match at site
+/// "p2.batch"; a stop ends the run after a leading prefix of its
+/// matches. Returns the number of matches processed — fewer than
+/// run.size() marks the batch short.
+template <typename Body>
+int64_t ForEachMatch(const MatchRun& run, QueryControl* control, Body body) {
   // Batch boundary: an unthrottled deadline read, so a fresh batch
   // never starts on an already-expired deadline — overshoot stays
   // bounded by one batch's throttle window, never a multiple of it.
   if (control != nullptr && control->CheckAtBoundary(failpoint::kP2Batch)) {
-    stats.phase2_seconds = timer.ElapsedSeconds();
-    return stats;
+    return 0;
   }
-  for (const MatchBinding* m = begin; m < end; ++m) {
+  int64_t done = 0;
+  for (const MatchBinding* m = run.begin; m < run.end; ++m, ++done) {
     if (control != nullptr && control->CheckAt(failpoint::kP2Batch)) break;
-    ++stats.num_structural_matches;
-    enumerator.EnumerateMatch(*m, visitor, &stats);
+    body(*m, run.first + done);
   }
+  return done;
+}
+
+/// Top-k over one run: every emission is offered to `local` under its
+/// DiscoveryRank and observed by `threshold` (which feeds the
+/// enumerator's floating bound).
+EnumerationResult TopKRun(const FlowMotifEnumerator& enumerator,
+                          SharedFlowThreshold* threshold, const MatchRun& run,
+                          QueryControl* control, TopKCollector* local) {
+  EnumerationResult stats;
+  WallTimer timer;
+  stats.num_structural_matches = ForEachMatch(
+      run, control, [&](const MatchBinding& match, int64_t m_index) {
+        int64_t emit_index = 0;
+        enumerator.EnumerateMatch(
+            match,
+            [local, threshold, m_index, &emit_index](const InstanceView& v) {
+              local->Offer(v.flow, DiscoveryRank{m_index, emit_index++}, v);
+              threshold->Observe(v.flow);
+              return true;
+            },
+            &stats);
+      });
   stats.phase2_seconds = timer.ElapsedSeconds();
   return stats;
 }
 
-/// Top-k over one contiguous run of matches whose first serial index is
-/// `first_match_index`: every emission is offered to a local bounded
-/// collector under its DiscoveryRank and observed by the shared
-/// threshold; the local collector then folds into `global` and the
-/// run's counters into `total_stats`, both under `mu` (fold order is
-/// irrelevant — the bounded collector is insertion-order-independent
-/// and the counters are sums).
-void ProcessTopKRun(const FlowMotifEnumerator& enumerator,
-                    const MatchBinding* begin, const MatchBinding* end,
-                    int64_t first_match_index, int64_t k,
-                    SharedFlowThreshold* shared, TopKCollector* global,
-                    EnumerationResult* total_stats, std::mutex* mu) {
-  TopKCollector local(k);
-  int64_t m_index = first_match_index;
-  EnumerationResult stats;
-  WallTimer timer;
-  for (const MatchBinding* m = begin; m < end; ++m, ++m_index) {
-    ++stats.num_structural_matches;
-    int64_t emit_index = 0;
-    enumerator.EnumerateMatch(
-        *m,
-        [&local, shared, m_index, &emit_index](const InstanceView& view) {
-          local.Offer(view.flow, DiscoveryRank{m_index, emit_index++}, view);
-          shared->Observe(view.flow);
-          return true;
-        },
-        &stats);
-  }
-  stats.phase2_seconds = timer.ElapsedSeconds();
-  std::lock_guard<std::mutex> lock(*mu);
-  global->MergeFrom(std::move(local));
-  total_stats->MergeFrom(stats);
-}
-
-/// Control-active top-k over one run. Unlike ProcessTopKRun, both the
-/// threshold and the collector are local to the run: a cross-run
-/// Observe would let out-of-prefix emissions tighten pruning inside
-/// prefix runs, and the fold of a run prefix would no longer be the
-/// exact top-k over exactly those matches. The price is slower
-/// threshold tightening (more surviving emissions), which changes
-/// pruning counters but never result entries.
-EnumerationResult TopKRunLocal(const TimeSeriesGraph& graph,
-                               const Motif& motif,
-                               const QueryOptions& options,
-                               SharedWindowCache* cache,
-                               const MatchBinding* begin,
-                               const MatchBinding* end,
-                               int64_t first_match_index,
-                               QueryControl* control, TopKCollector* local) {
-  SharedFlowThreshold threshold(options.k);
-  EnumerationOptions eopts;
-  eopts.delta = options.delta;
-  eopts.phi = options.phi;
-  eopts.strict_maximality = options.strict_maximality;
-  eopts.shared_window_cache = cache;
-  eopts.query_control = control;
-  eopts.dynamic_min_flow_exclusive = [&threshold]() {
-    return threshold.ExclusiveBound();
-  };
-  const FlowMotifEnumerator enumerator(graph, motif, eopts);
-  EnumerationResult stats;
-  WallTimer timer;
-  // Batch boundary: unthrottled deadline read (see EnumerateRun).
-  if (control->CheckAtBoundary(failpoint::kP2Batch)) {
-    stats.phase2_seconds = timer.ElapsedSeconds();
-    return stats;
-  }
-  int64_t m_index = first_match_index;
-  for (const MatchBinding* m = begin; m < end; ++m, ++m_index) {
-    if (control->CheckAt(failpoint::kP2Batch)) break;
-    ++stats.num_structural_matches;
-    int64_t emit_index = 0;
-    enumerator.EnumerateMatch(
-        *m,
-        [local, &threshold, m_index, &emit_index](const InstanceView& view) {
-          local->Offer(view.flow, DiscoveryRank{m_index, emit_index++}, view);
-          threshold.Observe(view.flow);
-          return true;
-        },
-        &stats);
-  }
-  stats.phase2_seconds = timer.ElapsedSeconds();
-  return stats;
-}
-
-/// Counts one contiguous run of matches. The run-local window MRU
-/// keeps consecutive same-pair matches cheap even when the shared
-/// cache declines the pair (saturation or gated-off memoization).
-InstanceCounter::Result CountRun(const InstanceCounter& counter,
-                                 const MatchBinding* begin,
-                                 const MatchBinding* end,
-                                 QueryControl* control, double* seconds) {
-  InstanceCounter::Result counts;
-  WallTimer timer;
-  WindowListMru window_mru;
-  // Batch boundary: unthrottled deadline read (see EnumerateRun).
-  if (control != nullptr && control->CheckAtBoundary(failpoint::kP2Batch)) {
-    *seconds = timer.ElapsedSeconds();
-    return counts;
-  }
-  for (const MatchBinding* m = begin; m < end; ++m) {
-    if (control != nullptr && control->CheckAt(failpoint::kP2Batch)) break;
-    ++counts.num_structural_matches;
-    counts.num_instances += counter.CountMatch(*m, &counts, &window_mru);
-  }
-  *seconds = timer.ElapsedSeconds();
-  return counts;
-}
-
-/// Folds one run's counting output into the result (all sums, so any
-/// fold order reproduces the serial counters).
-void AccumulateCounts(const InstanceCounter::Result& counts, double seconds,
-                      QueryResult* result) {
-  result->stats.num_instances += counts.num_instances;
-  result->stats.num_structural_matches += counts.num_structural_matches;
-  result->stats.num_windows_processed += counts.num_windows;
-  result->memo_hits += counts.memo_hits;
-  result->stats.phase2_seconds += seconds;
-}
-
-/// Checkout pool of DP scratches for the kTop1 paths: a P2 batch
-/// borrows one for the duration of its RunOnMatches call, so a worker's
-/// successive batches reuse the same timeline/table buffers instead of
+/// Checkout pool of DP scratches for kTop1: a P2 batch borrows one for
+/// the duration of its RunOnMatches call, so a worker's successive
+/// batches reuse the same timeline/table buffers instead of
 /// reallocating per batch (window lists live in the per-query
 /// SharedWindowCache, shared by every worker). Scratch contents never
 /// influence results — only where the buffers live — so the checkout
@@ -309,52 +406,60 @@ class DpScratchPool {
   std::vector<std::unique_ptr<MaxFlowDpSearcher::Scratch>> free_;
 };
 
-/// Folds per-batch DP incumbents, in serial batch order, with the
-/// strictly-greater rule — the same rule the serial searcher applies
-/// per match, so the merged winner is the serial winner (earliest batch
-/// wins flow ties).
-MaxFlowDpSearcher::Result MergeTop1Outputs(
-    std::vector<MaxFlowDpSearcher::Result>* outputs) {
-  MaxFlowDpSearcher::Result best;
-  for (MaxFlowDpSearcher::Result& out : *outputs) {
-    best.num_windows += out.num_windows;
-    best.seconds += out.seconds;
-    if (out.found && (!best.found || out.max_flow > best.max_flow)) {
-      const int64_t num_windows = best.num_windows;
-      const double seconds = best.seconds;
-      best = std::move(out);
-      best.num_windows = num_windows;
-      best.seconds = seconds;
-    }
-  }
-  return best;
+/// The full match list in canonical order, from the pipeline's P1
+/// shards (RunSweep's P1). Under a stop it is the canonical prefix the
+/// scan reached; under WorkBudget::max_matches, the first max_matches.
+std::vector<MatchBinding> CollectMatches(const TimeSeriesGraph& graph,
+                                         const Motif& motif,
+                                         const QueryOptions& options,
+                                         ThreadPool* pool,
+                                         QueryControl* control) {
+  BatchOutputs<std::vector<MatchBinding>> outputs;
+  const PipelineStats stream =
+      RunPipeline(graph, motif, options, nullptr, pool, control,
+                  [&outputs](const MatchRun& run) {
+                    outputs.Add(run,
+                                std::vector<MatchBinding>(run.begin, run.end));
+                  });
+  std::vector<MatchBinding> matches;
+  matches.reserve(static_cast<size_t>(stream.num_released));
+  outputs.Fold(stream.stopped_shard_min,
+               [&matches](std::vector<MatchBinding>& batch) {
+                 matches.insert(matches.end(),
+                                std::make_move_iterator(batch.begin()),
+                                std::make_move_iterator(batch.end()));
+                 const int64_t n = static_cast<int64_t>(batch.size());
+                 std::vector<MatchBinding>().swap(batch);
+                 return n;
+               });
+  return matches;
 }
 
 }  // namespace
 
-bool QueryEngine::CanStream(const QueryOptions& options) {
-  switch (options.mode) {
-    case QueryMode::kCount:
-    case QueryMode::kTopK:
-    case QueryMode::kTop1:
-    case QueryMode::kEnumerate:
-      // kEnumerate with a collect limit uses RunEnumerate's per-batch
-      // truncation trick on the streamed batches too: batches arrive
-      // keyed by their first serial match index, so the merge restores
-      // serial order before truncating.
-      return true;
-    case QueryMode::kSignificance:
-      return false;
-  }
-  return false;
-}
-
 QueryResult QueryEngine::Run(const Motif& motif,
                              const QueryOptions& options) const {
+  return RunQuery(motif, options, nullptr);
+}
+
+QueryResult QueryEngine::RunOnMatches(const Motif& motif,
+                                      const std::vector<MatchBinding>& matches,
+                                      const QueryOptions& options) const {
+  return RunQuery(motif, options, &matches);
+}
+
+QueryResult QueryEngine::RunQuery(
+    const Motif& motif, const QueryOptions& options,
+    const std::vector<MatchBinding>* given) const {
   WallTimer wall;
   QueryResult result;
   result.mode = options.mode;
-  const Status valid = ValidateQueryOptions(options);
+  Status valid = ValidateQueryOptions(options);
+  if (valid.ok() && given != nullptr &&
+      options.mode == QueryMode::kSignificance) {
+    valid = Status::InvalidArgument(
+        "kSignificance computes and reuses its own matches; use Run()");
+  }
   if (!valid.ok()) {
     result.termination = InvalidOptionsTermination(valid);
     result.wall_seconds = wall.ElapsedSeconds();
@@ -375,124 +480,12 @@ QueryResult QueryEngine::Run(const Motif& motif,
 
   if (options.mode == QueryMode::kSignificance) {
     RunSignificance(motif, options, &pool, control, &result);
-  } else if (pool.num_threads() > 1 && CanStream(options) &&
-             (control == nullptr || control->budget().max_matches < 0)) {
-    // A match budget forces the barrier path: exact truncation at
-    // max_matches needs the serial P1 scan of FindMatchesControlled.
-    RunStreamed(motif, options, &pool, control, &result);
   } else {
-    // Barrier path: materialize the full match list (serial on one
-    // thread — the bit-for-bit reference — otherwise parallel over work
-    // units with a deterministic merge), then dispatch P2 over it.
-    WallTimer p1_timer;
-    const std::vector<MatchBinding> matches =
-        FindMatchesControlled(motif, &pool, control);
-    const double phase1_seconds = p1_timer.ElapsedSeconds();
-    Dispatch(motif, matches, options, &pool, control, &result);
-    result.stats.phase1_seconds = phase1_seconds;
+    Execute(motif, options, given, &pool, control, &result);
   }
   OverlayPoolError(&pool, &result.termination);
   result.wall_seconds = wall.ElapsedSeconds();
   return result;
-}
-
-QueryResult QueryEngine::RunOnMatches(const Motif& motif,
-                                      const std::vector<MatchBinding>& matches,
-                                      const QueryOptions& options) const {
-  WallTimer wall;
-  QueryResult result;
-  result.mode = options.mode;
-  Status valid = ValidateQueryOptions(options);
-  if (valid.ok() && options.mode == QueryMode::kSignificance) {
-    valid = Status::InvalidArgument(
-        "kSignificance computes and reuses its own matches; use Run()");
-  }
-  if (!valid.ok()) {
-    result.termination = InvalidOptionsTermination(valid);
-    result.wall_seconds = wall.ElapsedSeconds();
-    return result;
-  }
-  const std::unique_ptr<QueryControl> control_owner = MakeQueryControl(
-      options.cancel_token, options.deadline, options.budget);
-  QueryControl* const control = control_owner.get();
-  ThreadPool pool(ResolveThreads(options));
-  result.threads_used = pool.num_threads();
-  if (control != nullptr && control->CheckAt(failpoint::kEngineStart)) {
-    result.termination = control->Finish(0);
-    result.wall_seconds = wall.ElapsedSeconds();
-    return result;
-  }
-  Dispatch(motif, matches, options, &pool, control, &result);
-  OverlayPoolError(&pool, &result.termination);
-  result.wall_seconds = wall.ElapsedSeconds();
-  return result;
-}
-
-std::vector<MatchBinding> QueryEngine::FindMatchesControlled(
-    const Motif& motif, ThreadPool* pool, QueryControl* control) const {
-  const StructuralMatcher matcher(graph_, motif);
-  if (control == nullptr) {
-    return pool->num_threads() == 1 ? matcher.FindAllMatches()
-                                    : matcher.FindAllMatchesParallel(pool);
-  }
-  const int64_t num_units = matcher.NumWorkUnits();
-  const int64_t max_matches = control->budget().max_matches;
-  if (max_matches >= 0) {
-    // Serial unit scan so the cut lands at exactly max_matches in
-    // canonical order, independent of scheduling. A hit is a soft
-    // truncation: P2 still runs, exactly, over the kept prefix.
-    std::vector<MatchBinding> matches;
-    bool hit_cap = false;
-    for (int64_t u = 0; u < num_units && !hit_cap; ++u) {
-      if (control->CheckAt(failpoint::kP1Unit)) break;
-      matcher.FindInUnits(u, u + 1, [&](const MatchBinding& binding) {
-        if (static_cast<int64_t>(matches.size()) >= max_matches) {
-          hit_cap = true;
-          return false;
-        }
-        matches.push_back(binding);
-        return true;
-      });
-    }
-    if (hit_cap) {
-      control->MarkTruncated(TerminationCode::kBudgetExceeded,
-                             failpoint::kP1Unit, "max_matches");
-    }
-    return matches;
-  }
-  // Parallel controlled scan: each range walks its units one at a time
-  // with a per-unit check; a stopped range keeps the matches of its
-  // leading units. The kept result is the longest canonical unit
-  // prefix — full leading ranges plus the first incomplete range's
-  // leading units; later ranges (even if they finished) are discarded
-  // because their units are not contiguous with the prefix.
-  const std::vector<MatchBatch> ranges =
-      PartitionMatches(num_units, pool->num_threads(), /*batch_size=*/0);
-  struct RangeOutput {
-    std::vector<MatchBinding> matches;
-    bool complete = false;
-  };
-  std::vector<RangeOutput> outputs(ranges.size());
-  pool->ParallelFor(static_cast<int64_t>(ranges.size()), [&](int64_t r) {
-    RangeOutput& out = outputs[static_cast<size_t>(r)];
-    const MatchBatch& range = ranges[static_cast<size_t>(r)];
-    for (int64_t u = range.begin; u < range.end; ++u) {
-      if (control->CheckAt(failpoint::kP1Unit)) return;
-      matcher.FindInUnits(u, u + 1, [&out](const MatchBinding& binding) {
-        out.matches.push_back(binding);
-        return true;
-      });
-    }
-    out.complete = true;
-  });
-  std::vector<MatchBinding> matches;
-  for (RangeOutput& out : outputs) {
-    matches.insert(matches.end(),
-                   std::make_move_iterator(out.matches.begin()),
-                   std::make_move_iterator(out.matches.end()));
-    if (!out.complete) break;
-  }
-  return matches;
 }
 
 SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
@@ -547,7 +540,7 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
   // neither delta nor phi, so per-point querying re-derives the same
   // list |grid| times.
   const std::vector<MatchBinding> matches =
-      FindMatchesControlled(motif, &pool, control);
+      CollectMatches(graph_, motif, options, &pool, control);
   result.num_structural_matches = static_cast<int64_t>(matches.size());
   if (control != nullptr && control->ShouldStop()) {
     // A hard stop during P1 left an incomplete match list; no cell
@@ -615,8 +608,8 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
       continue;
     }
     // Fallback (replay disabled, stopped, or this delta's recording
-    // abandoned on budget): ordinary memoized counting per cell over
-    // the shared match list — the per-point kCount path minus its
+    // abandoned on budget): an ordinary kCount pass per cell over the
+    // shared match list — the per-point kCount route minus its
     // redundant P1 runs.
     for (size_t p = 0; p < sweep.phis.size(); ++p) {
       if (control != nullptr && control->CheckAt(failpoint::kSweepCell)) {
@@ -628,7 +621,7 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
       cell.delta = delta;
       cell.phi = sweep.phis[p];
       QueryResult cell_result;
-      RunCount(motif, matches, cell, &pool, control, &cell_result);
+      Execute(motif, cell, &matches, &pool, control, &cell_result);
       if (control != nullptr && control->ShouldStop()) {
         // The cell itself was cut short; its count is partial.
         stopped = true;
@@ -650,65 +643,43 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
   return result;
 }
 
-void QueryEngine::Dispatch(const Motif& motif,
-                           const std::vector<MatchBinding>& matches,
-                           const QueryOptions& options, ThreadPool* pool,
-                           QueryControl* control, QueryResult* result) const {
-  result->mode = options.mode;
-  result->threads_used = pool->num_threads();
-  switch (options.mode) {
-    case QueryMode::kEnumerate:
-      RunEnumerate(motif, matches, options, pool, control, result);
-      break;
-    case QueryMode::kCount:
-      RunCount(motif, matches, options, pool, control, result);
-      break;
-    case QueryMode::kTopK:
-      RunTopK(motif, matches, options, pool, control, result);
-      break;
-    case QueryMode::kTop1:
-      RunTop1(motif, matches, options, pool, control, result);
-      break;
-    case QueryMode::kSignificance:
-      FLOWMOTIF_CHECK(false) << "rejected at the entry points";
-      break;
-  }
-}
-
-void QueryEngine::RunEnumerate(const Motif& motif,
-                               const std::vector<MatchBinding>& matches,
-                               const QueryOptions& options, ThreadPool* pool,
-                               QueryControl* control,
-                               QueryResult* result) const {
+void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
+                          const std::vector<MatchBinding>* given,
+                          ThreadPool* pool, QueryControl* control,
+                          QueryResult* result) const {
   // One shared window cache per query: every batch of every worker
   // reads per-match window lists through it (lock-free once built).
   SharedWindowCache window_cache(options.delta);
-  AttachWindowCache(&window_cache, control, options);
-  EnumerationOptions eopts = ToEnumerationOptions(options, control);
-  eopts.shared_window_cache = &window_cache;
-  const FlowMotifEnumerator enumerator(graph_, motif, eopts);
-  const std::vector<MatchBatch> batches = PartitionMatches(
-      static_cast<int64_t>(matches.size()), pool->num_threads(),
-      options.batch_size);
-  result->num_batches = static_cast<int64_t>(batches.size());
-  const int64_t limit = options.collect_limit;
-
-  struct BatchOutput {
-    EnumerationResult stats;
-    std::vector<MotifInstance> collected;
+  window_cache.set_query_control(control);
+  window_cache.set_fallback_tier(options.shared_cache_tier);
+  // Runs the pipeline with one mode's batch body; returns the shard
+  // bound the canonical-prefix fold needs.
+  const auto run_pipeline = [&](const BatchFn& batch_fn) {
+    const PipelineStats stream =
+        RunPipeline(graph_, motif, options, given, pool, control, batch_fn);
+    result->stats.phase1_seconds = stream.p1_cpu_seconds;
+    result->num_batches = stream.num_batches;
+    return stream.stopped_shard_min;
   };
-  std::vector<BatchOutput> outputs(batches.size());
 
-  pool->ParallelFor(
-      static_cast<int64_t>(batches.size()), [&](int64_t b) {
-        BatchOutput& out = outputs[static_cast<size_t>(b)];
-        const MatchBatch& batch = batches[static_cast<size_t>(b)];
-        InstanceVisitor visitor;
+  int64_t matches_done = 0;
+  switch (options.mode) {
+    case QueryMode::kEnumerate: {
+      const FlowMotifEnumerator enumerator(
+          graph_, motif, ToEnumerationOptions(options, &window_cache, control));
+      const int64_t limit = options.collect_limit;
+      struct Out {
+        EnumerationResult stats;
+        std::vector<MotifInstance> collected;
+      };
+      BatchOutputs<Out> outputs;
+      const int64_t stopped = run_pipeline([&](const MatchRun& run) {
+        Out out;
+        InstanceVisitor visitor;  // stays null (counters only) at limit 0
         if (limit != 0) {
-          // Each batch keeps at most `limit` instances: the global first
-          // `limit` (serial discovery order) are necessarily among the
-          // first `limit` of their own batch, so the merge below can
-          // truncate without losing any of them.
+          // Each batch keeps at most `limit` instances, which include
+          // every one of the global first `limit` that falls in the
+          // batch, so the in-order fold can truncate without losing any.
           visitor = [&out, limit](const InstanceView& view) {
             if (limit < 0 ||
                 static_cast<int64_t>(out.collected.size()) < limit) {
@@ -717,604 +688,164 @@ void QueryEngine::RunEnumerate(const Motif& motif,
             return true;
           };
         }
-        out.stats = EnumerateRun(enumerator, matches.data() + batch.begin,
-                                 matches.data() + batch.end, visitor,
-                                 control);
+        WallTimer timer;
+        out.stats.num_structural_matches = ForEachMatch(
+            run, control, [&](const MatchBinding& match, int64_t) {
+              enumerator.EnumerateMatch(match, visitor, &out.stats);
+            });
+        out.stats.phase2_seconds = timer.ElapsedSeconds();
+        outputs.Add(run, std::move(out));
       });
-
-  // Fold in serial batch order. Under a control the fold keeps the
-  // longest contiguous run of complete batches plus the first
-  // incomplete batch's (leading) partial output — the canonical match
-  // prefix — and discards later batches even when they finished.
-  int64_t matches_done = 0;
-  for (size_t b = 0; b < outputs.size(); ++b) {
-    BatchOutput& out = outputs[b];
-    result->stats.MergeFrom(out.stats);
-    matches_done += out.stats.num_structural_matches;
-    for (MotifInstance& instance : out.collected) {
-      if (limit >= 0 &&
-          static_cast<int64_t>(result->instances.size()) >= limit) {
-        break;
-      }
-      result->instances.push_back(std::move(instance));
-    }
-    if (control != nullptr &&
-        out.stats.num_structural_matches != batches[b].end - batches[b].begin) {
-      break;
-    }
-  }
-  if (control != nullptr) {
-    result->termination = control->Finish(matches_done);
-  }
-}
-
-void QueryEngine::RunCount(const Motif& motif,
-                           const std::vector<MatchBinding>& matches,
-                           const QueryOptions& options, ThreadPool* pool,
-                           QueryControl* control, QueryResult* result) const {
-  SharedWindowCache window_cache(options.delta);
-  AttachWindowCache(&window_cache, control, options);
-  InstanceCounter counter(graph_, motif, options.delta, options.phi,
-                          &window_cache);
-  counter.set_query_control(control);
-  const std::vector<MatchBatch> batches = PartitionMatches(
-      static_cast<int64_t>(matches.size()), pool->num_threads(),
-      options.batch_size);
-  result->num_batches = static_cast<int64_t>(batches.size());
-
-  struct BatchOutput {
-    InstanceCounter::Result counts;
-    double seconds = 0.0;
-  };
-  std::vector<BatchOutput> outputs(batches.size());
-
-  pool->ParallelFor(
-      static_cast<int64_t>(batches.size()), [&](int64_t b) {
-        BatchOutput& out = outputs[static_cast<size_t>(b)];
-        const MatchBatch& batch = batches[static_cast<size_t>(b)];
-        out.counts = CountRun(counter, matches.data() + batch.begin,
-                              matches.data() + batch.end, control,
-                              &out.seconds);
-      });
-
-  // Serial-order prefix fold (see RunEnumerate).
-  int64_t matches_done = 0;
-  for (size_t b = 0; b < outputs.size(); ++b) {
-    const BatchOutput& out = outputs[b];
-    AccumulateCounts(out.counts, out.seconds, result);
-    matches_done += out.counts.num_structural_matches;
-    if (control != nullptr && out.counts.num_structural_matches !=
-                                  batches[b].end - batches[b].begin) {
-      break;
-    }
-  }
-  if (control != nullptr) {
-    result->termination = control->Finish(matches_done);
-  }
-}
-
-void QueryEngine::RunTopK(const Motif& motif,
-                          const std::vector<MatchBinding>& matches,
-                          const QueryOptions& options, ThreadPool* pool,
-                          QueryControl* control, QueryResult* result) const {
-  SharedWindowCache window_cache(options.delta);
-  AttachWindowCache(&window_cache, control, options);
-  const std::vector<MatchBatch> batches = PartitionMatches(
-      static_cast<int64_t>(matches.size()), pool->num_threads(),
-      options.batch_size);
-  result->num_batches = static_cast<int64_t>(batches.size());
-
-  if (control == nullptr) {
-    // The shared threshold tracks the k-th best flow across *all*
-    // workers' emissions (Observe), so it tightens before any single
-    // collector fills and matches the serial searcher's pruning rate.
-    SharedFlowThreshold shared(options.k);
-    EnumerationOptions eopts = ToEnumerationOptions(options, control);
-    eopts.dynamic_min_flow_exclusive = [&shared]() {
-      return shared.ExclusiveBound();
-    };
-    eopts.shared_window_cache = &window_cache;
-    const FlowMotifEnumerator enumerator(graph_, motif, eopts);
-
-    // Completed batches fold into one global collector. The fold order
-    // is whatever order batches finish in — harmless, because the
-    // bounded collector's contents are insertion-order-independent and
-    // the counters are sums.
-    TopKCollector global(options.k);
-    std::mutex global_mu;
-
-    pool->ParallelFor(
-        static_cast<int64_t>(batches.size()), [&](int64_t b) {
-          const MatchBatch& batch = batches[static_cast<size_t>(b)];
-          ProcessTopKRun(enumerator, matches.data() + batch.begin,
-                         matches.data() + batch.end, batch.begin, options.k,
-                         &shared, &global, &result->stats, &global_mu);
-        });
-
-    result->topk = global.Drain();
-    FinalizeTopKStats(&result->stats, result->topk.size());
-    return;
-  }
-
-  // Control active: batch-local thresholds and collectors
-  // (TopKRunLocal) keep every pruning decision inside its batch, so
-  // the serial-order prefix fold below yields the exact top-k over
-  // exactly the prefix matches.
-  struct BatchOutput {
-    std::unique_ptr<TopKCollector> local;
-    EnumerationResult stats;
-  };
-  std::vector<BatchOutput> outputs(batches.size());
-  pool->ParallelFor(
-      static_cast<int64_t>(batches.size()), [&](int64_t b) {
-        BatchOutput& out = outputs[static_cast<size_t>(b)];
-        const MatchBatch& batch = batches[static_cast<size_t>(b)];
-        out.local = std::make_unique<TopKCollector>(options.k);
-        out.stats = TopKRunLocal(graph_, motif, options, &window_cache,
-                                 matches.data() + batch.begin,
-                                 matches.data() + batch.end, batch.begin,
-                                 control, out.local.get());
-      });
-
-  TopKCollector global(options.k);
-  int64_t matches_done = 0;
-  for (size_t b = 0; b < outputs.size(); ++b) {
-    BatchOutput& out = outputs[b];
-    if (out.local == nullptr) break;  // batch task died before starting
-    global.MergeFrom(std::move(*out.local));
-    result->stats.MergeFrom(out.stats);
-    matches_done += out.stats.num_structural_matches;
-    if (out.stats.num_structural_matches !=
-        batches[b].end - batches[b].begin) {
-      break;
-    }
-  }
-  result->topk = global.Drain();
-  FinalizeTopKStats(&result->stats, result->topk.size());
-  result->termination = control->Finish(matches_done);
-}
-
-void QueryEngine::RunTop1(const Motif& motif,
-                          const std::vector<MatchBinding>& matches,
-                          const QueryOptions& options, ThreadPool* pool,
-                          QueryControl* control, QueryResult* result) const {
-  SharedWindowCache window_cache(options.delta);
-  AttachWindowCache(&window_cache, control, options);
-  MaxFlowDpSearcher searcher(graph_, motif, options.delta, &window_cache);
-  searcher.set_query_control(control);
-  const std::vector<MatchBatch> batches = PartitionMatches(
-      static_cast<int64_t>(matches.size()), pool->num_threads(),
-      options.batch_size);
-  result->num_batches = static_cast<int64_t>(batches.size());
-
-  std::vector<MaxFlowDpSearcher::Result> outputs(batches.size());
-  DpScratchPool scratch_pool;
-  pool->ParallelFor(
-      static_cast<int64_t>(batches.size()), [&](int64_t b) {
-        const MatchBatch& batch = batches[static_cast<size_t>(b)];
-        std::unique_ptr<MaxFlowDpSearcher::Scratch> scratch =
-            scratch_pool.Acquire();
-        outputs[static_cast<size_t>(b)] = searcher.RunOnMatches(
-            matches.data() + batch.begin, matches.data() + batch.end,
-            scratch.get(), control);
-        scratch_pool.Release(std::move(scratch));
-      });
-
-  // Serial-order prefix fold (see RunEnumerate); the incumbent of a
-  // batch covers exactly its matches_processed leading matches.
-  int64_t matches_done = 0;
-  std::vector<MaxFlowDpSearcher::Result> prefix;
-  prefix.reserve(outputs.size());
-  for (size_t b = 0; b < outputs.size(); ++b) {
-    matches_done += outputs[b].matches_processed;
-    const bool complete =
-        outputs[b].matches_processed == batches[b].end - batches[b].begin;
-    prefix.push_back(std::move(outputs[b]));
-    if (control != nullptr && !complete) break;
-  }
-  MaxFlowDpSearcher::Result best = MergeTop1Outputs(&prefix);
-  result->stats.num_structural_matches =
-      control != nullptr ? matches_done
-                         : static_cast<int64_t>(matches.size());
-  result->stats.num_windows_processed = best.num_windows;
-  result->stats.phase2_seconds = best.seconds;
-  if (best.found) result->stats.num_instances = 1;
-  result->top1 = std::move(best);
-  if (control != nullptr) {
-    result->termination = control->Finish(matches_done);
-  }
-}
-
-QueryEngine::StreamStats QueryEngine::StreamTwoPhase(
-    const Motif& motif, const QueryOptions& options, ThreadPool* pool,
-    QueryControl* control, const StreamBatchFn& batch_fn) const {
-  const StructuralMatcher matcher(graph_, motif);
-  // P1 shards: contiguous work-unit ranges, several per worker so
-  // dynamic scheduling absorbs the match-density skew across origins.
-  const std::vector<MatchBatch> ranges = PartitionMatches(
-      matcher.NumWorkUnits(), pool->num_threads(), /*batch_size=*/0);
-  StreamStats stats;
-  stats.stopped_shard_min = std::numeric_limits<int64_t>::max();
-  if (ranges.empty()) return stats;
-  const int64_t batch_cap =
-      options.batch_size > 0 ? options.batch_size : kStreamedBatchCap;
-
-  ShardPrefixMerger merger(static_cast<int64_t>(ranges.size()));
-  // Outstanding P2 batches per shard: the last batch to finish frees
-  // the shard's match buffer, so peak memory tracks the in-flight
-  // window rather than the full match list. Stored before the shard's
-  // batches are submitted (a batch may start on another worker
-  // immediately).
-  std::vector<std::atomic<int64_t>> pending_batches(ranges.size());
-  std::mutex stats_mu;
-  // Smallest shard whose P1 scan the control stopped; relaxed is
-  // enough, the fold reads it after pool->Wait().
-  std::atomic<int64_t> stopped_min{std::numeric_limits<int64_t>::max()};
-
-  // Every task — P1 shard and P2 batch alike — goes through the one
-  // pool's FIFO queue; a shard task that completes the release prefix
-  // submits the P2 batches for every shard it released. Tasks never
-  // block on each other, so the single Wait() below drains the whole
-  // pipeline. All state outlives Wait(), so reference captures are
-  // safe.
-  for (size_t r = 0; r < ranges.size(); ++r) {
-    pool->Submit([&, r] {
-      WallTimer timer;
-      std::vector<MatchBinding> shard;
-      if (control == nullptr) {
-        matcher.FindInUnits(ranges[r].begin, ranges[r].end,
-                            [&shard](const MatchBinding& binding) {
-                              shard.push_back(binding);
-                              return true;
-                            });
-      } else {
-        // Per-unit scan with a cancellation point; a stop keeps the
-        // shard's leading units (a canonical prefix within the shard)
-        // and records the shard so the caller's fold can discard every
-        // later shard's batches.
-        for (int64_t u = ranges[r].begin; u < ranges[r].end; ++u) {
-          if (control->CheckAt(failpoint::kP1Unit)) {
-            int64_t cur = stopped_min.load(std::memory_order_relaxed);
-            while (static_cast<int64_t>(r) < cur &&
-                   !stopped_min.compare_exchange_weak(
-                       cur, static_cast<int64_t>(r),
-                       std::memory_order_relaxed)) {
-            }
-            break;
-          }
-          matcher.FindInUnits(u, u + 1,
-                              [&shard](const MatchBinding& binding) {
-                                shard.push_back(binding);
-                                return true;
-                              });
-        }
-      }
-      const double p1_seconds = timer.ElapsedSeconds();
-      const std::vector<ShardPrefixMerger::ReleasedShardEntry> released =
-          merger.Complete(static_cast<int64_t>(r), std::move(shard));
-      int64_t new_batches = 0;
-      for (const ShardPrefixMerger::ReleasedShardEntry& entry : released) {
-        const ShardPrefixMerger::ReleasedShard& rs = entry.released;
-        const int64_t n = static_cast<int64_t>(rs.matches->size());
-        const int64_t shard_batches = (n + batch_cap - 1) / batch_cap;
-        if (shard_batches == 0) {
-          merger.FreeShard(entry.shard);
-          continue;
-        }
-        pending_batches[static_cast<size_t>(entry.shard)].store(
-            shard_batches, std::memory_order_relaxed);
-        for (int64_t b = 0; b < n; b += batch_cap) {
-          const int64_t len = std::min(batch_cap, n - b);
-          const MatchBinding* data = rs.matches->data() + b;
-          const int64_t first = rs.first_match_index + b;
-          ++new_batches;
-          // Front-of-queue: P2 batches must run ahead of the still-
-          // queued P1 shard tasks, or FIFO order would finish all of
-          // P1 (every shard buffer live at once) before P2 starts —
-          // the batch/free cadence is what bounds in-flight memory.
-          pool->SubmitFront([&batch_fn, &merger, &pending_batches,
-                             shard_index = entry.shard, data, len, first] {
-            batch_fn(first, shard_index, data, data + len);
-            // acq_rel orders every batch's reads of the buffer before
-            // the last decrementer's free.
-            if (pending_batches[static_cast<size_t>(shard_index)].fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-              merger.FreeShard(shard_index);
-            }
-          });
-        }
-      }
-      std::lock_guard<std::mutex> lock(stats_mu);
-      stats.p1_cpu_seconds += p1_seconds;
-      stats.num_batches += new_batches;
-    });
-  }
-  pool->Wait();
-  stats.num_matches = merger.num_released();
-  stats.stopped_shard_min = stopped_min.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void QueryEngine::RunStreamed(const Motif& motif,
-                              const QueryOptions& options, ThreadPool* pool,
-                              QueryControl* control,
-                              QueryResult* result) const {
-  // Every mode defers per-batch entries keyed by (first serial match
-  // index, shard) and folds them in serial order afterwards — never a
-  // torn merge. Under a control the fold keeps the longest contiguous
-  // run of batches that (a) starts at match 0, (b) comes from a shard
-  // no later than the first P1-stopped one (later shards' matches are
-  // not part of any canonical prefix), and (c) ends at the first batch
-  // whose own P2 loop was cut short, whose leading partial output is
-  // still included.
-  switch (options.mode) {
-    case QueryMode::kEnumerate: {
-      SharedWindowCache window_cache(options.delta);
-      AttachWindowCache(&window_cache, control, options);
-      EnumerationOptions eopts = ToEnumerationOptions(options, control);
-      eopts.shared_window_cache = &window_cache;
-      const FlowMotifEnumerator enumerator(graph_, motif, eopts);
-      const int64_t limit = options.collect_limit;
-      std::mutex mu;
-      struct Entry {
-        int64_t first = 0;
-        int64_t shard = 0;
-        int64_t len = 0;
-        EnumerationResult stats;
-        std::vector<MotifInstance> collected;
-      };
-      // Each batch keeps at most `limit` instances, which necessarily
-      // include every one of the global first `limit` that falls in
-      // the batch, so the in-order fold can truncate without losing
-      // any of them.
-      std::vector<Entry> entries;
-      const StreamStats stream = StreamTwoPhase(
-          motif, options, pool, control,
-          [&](int64_t first, int64_t shard, const MatchBinding* begin,
-              const MatchBinding* end) {
-            Entry e;
-            e.first = first;
-            e.shard = shard;
-            e.len = end - begin;
-            InstanceVisitor visitor;  // stays null when limit == 0
-            if (limit != 0) {
-              visitor = [&e, limit](const InstanceView& view) {
-                if (limit < 0 ||
-                    static_cast<int64_t>(e.collected.size()) < limit) {
-                  e.collected.push_back(view.Materialize());
-                }
-                return true;
-              };
-            }
-            e.stats = EnumerateRun(enumerator, begin, end, visitor, control);
-            std::lock_guard<std::mutex> lock(mu);
-            entries.push_back(std::move(e));
-          });
-      std::sort(entries.begin(), entries.end(),
-                [](const Entry& a, const Entry& b) {
-                  return a.first < b.first;
-                });
-      int64_t expected = 0;
-      int64_t matches_done = 0;
-      for (Entry& e : entries) {
-        if (control != nullptr &&
-            (e.first != expected || e.shard > stream.stopped_shard_min)) {
-          break;
-        }
-        result->stats.MergeFrom(e.stats);
-        matches_done += e.stats.num_structural_matches;
-        for (MotifInstance& instance : e.collected) {
+      matches_done = outputs.Fold(stopped, [&](Out& out) {
+        result->stats.MergeFrom(out.stats);
+        for (MotifInstance& instance : out.collected) {
           if (limit >= 0 &&
               static_cast<int64_t>(result->instances.size()) >= limit) {
             break;
           }
           result->instances.push_back(std::move(instance));
         }
-        if (control != nullptr && e.stats.num_structural_matches != e.len) {
-          break;
-        }
-        expected = e.first + e.len;
-      }
-      result->stats.phase1_seconds = stream.p1_cpu_seconds;
-      result->num_batches = stream.num_batches;
-      if (control != nullptr) {
-        result->termination = control->Finish(matches_done);
-      }
-      return;
+        return out.stats.num_structural_matches;
+      });
+      break;
     }
     case QueryMode::kCount: {
-      SharedWindowCache window_cache(options.delta);
-      AttachWindowCache(&window_cache, control, options);
       InstanceCounter counter(graph_, motif, options.delta, options.phi,
                               &window_cache);
       counter.set_query_control(control);
-      std::mutex mu;
-      struct Entry {
-        int64_t first = 0;
-        int64_t shard = 0;
-        int64_t len = 0;
+      struct Out {
         InstanceCounter::Result counts;
         double seconds = 0.0;
       };
-      std::vector<Entry> entries;
-      const StreamStats stream = StreamTwoPhase(
-          motif, options, pool, control,
-          [&](int64_t first, int64_t shard, const MatchBinding* begin,
-              const MatchBinding* end) {
-            Entry e;
-            e.first = first;
-            e.shard = shard;
-            e.len = end - begin;
-            e.counts = CountRun(counter, begin, end, control, &e.seconds);
-            std::lock_guard<std::mutex> lock(mu);
-            entries.push_back(std::move(e));
-          });
-      std::sort(entries.begin(), entries.end(),
-                [](const Entry& a, const Entry& b) {
-                  return a.first < b.first;
-                });
-      int64_t expected = 0;
-      int64_t matches_done = 0;
-      for (const Entry& e : entries) {
-        if (control != nullptr &&
-            (e.first != expected || e.shard > stream.stopped_shard_min)) {
-          break;
-        }
-        AccumulateCounts(e.counts, e.seconds, result);
-        matches_done += e.counts.num_structural_matches;
-        if (control != nullptr && e.counts.num_structural_matches != e.len) {
-          break;
-        }
-        expected = e.first + e.len;
-      }
-      result->stats.phase1_seconds = stream.p1_cpu_seconds;
-      result->num_batches = stream.num_batches;
-      if (control != nullptr) {
-        result->termination = control->Finish(matches_done);
-      }
-      return;
+      BatchOutputs<Out> outputs;
+      const int64_t stopped = run_pipeline([&](const MatchRun& run) {
+        Out out;
+        WallTimer timer;
+        // The run-local window MRU keeps consecutive same-pair matches
+        // cheap even when the shared cache declines the pair
+        // (saturation or gated-off memoization).
+        WindowListMru window_mru;
+        out.counts.num_structural_matches = ForEachMatch(
+            run, control, [&](const MatchBinding& match, int64_t) {
+              out.counts.num_instances +=
+                  counter.CountMatch(match, &out.counts, &window_mru);
+            });
+        out.seconds = timer.ElapsedSeconds();
+        outputs.Add(run, std::move(out));
+      });
+      matches_done = outputs.Fold(stopped, [result](const Out& out) {
+        result->stats.num_instances += out.counts.num_instances;
+        result->stats.num_structural_matches +=
+            out.counts.num_structural_matches;
+        result->stats.num_windows_processed += out.counts.num_windows;
+        result->memo_hits += out.counts.memo_hits;
+        result->stats.phase2_seconds += out.seconds;
+        return out.counts.num_structural_matches;
+      });
+      break;
     }
     case QueryMode::kTopK: {
-      SharedWindowCache window_cache(options.delta);
-      AttachWindowCache(&window_cache, control, options);
+      TopKCollector global(options.k);
       if (control == nullptr) {
+        // The shared threshold tracks the k-th best flow across *all*
+        // workers' emissions, so it tightens before any single
+        // collector fills and matches the serial searcher's pruning
+        // rate. Batches fold into the global collector as they finish:
+        // the bounded collector is insertion-order-independent and the
+        // counters are sums.
         SharedFlowThreshold shared(options.k);
-        EnumerationOptions eopts = ToEnumerationOptions(options, control);
-        eopts.dynamic_min_flow_exclusive = [&shared]() {
+        EnumerationOptions eopts =
+            ToEnumerationOptions(options, &window_cache, nullptr);
+        eopts.dynamic_min_flow_exclusive = [&shared] {
           return shared.ExclusiveBound();
         };
-        eopts.shared_window_cache = &window_cache;
         const FlowMotifEnumerator enumerator(graph_, motif, eopts);
-        TopKCollector global(options.k);
         std::mutex mu;
-        const StreamStats stream = StreamTwoPhase(
-            motif, options, pool, control,
-            [&](int64_t first, int64_t, const MatchBinding* begin,
-                const MatchBinding* end) {
-              ProcessTopKRun(enumerator, begin, end, first, options.k,
-                             &shared, &global, &result->stats, &mu);
-            });
-        result->stats.phase1_seconds = stream.p1_cpu_seconds;
-        result->num_batches = stream.num_batches;
-        result->topk = global.Drain();
-        FinalizeTopKStats(&result->stats, result->topk.size());
-        return;
+        run_pipeline([&](const MatchRun& run) {
+          TopKCollector local(options.k);
+          const EnumerationResult stats =
+              TopKRun(enumerator, &shared, run, nullptr, &local);
+          std::lock_guard<std::mutex> lock(mu);
+          global.MergeFrom(std::move(local));
+          result->stats.MergeFrom(stats);
+        });
+      } else {
+        // Control active: batch-local thresholds and collectors. A
+        // cross-batch Observe would let out-of-prefix emissions tighten
+        // pruning inside prefix batches, and the fold of a batch prefix
+        // would no longer be the exact top-k over exactly those
+        // matches. The price is slower threshold tightening, which
+        // changes pruning counters but never result entries.
+        struct Out {
+          TopKCollector local;
+          EnumerationResult stats;
+        };
+        BatchOutputs<Out> outputs;
+        const int64_t stopped = run_pipeline([&](const MatchRun& run) {
+          SharedFlowThreshold threshold(options.k);
+          EnumerationOptions eopts =
+              ToEnumerationOptions(options, &window_cache, control);
+          eopts.dynamic_min_flow_exclusive = [&threshold] {
+            return threshold.ExclusiveBound();
+          };
+          const FlowMotifEnumerator enumerator(graph_, motif, eopts);
+          Out out{TopKCollector(options.k), EnumerationResult()};
+          out.stats = TopKRun(enumerator, &threshold, run, control, &out.local);
+          outputs.Add(run, std::move(out));
+        });
+        matches_done = outputs.Fold(stopped, [&](Out& out) {
+          global.MergeFrom(std::move(out.local));
+          result->stats.MergeFrom(out.stats);
+          return out.stats.num_structural_matches;
+        });
       }
-      // Control active: batch-local thresholds/collectors
-      // (TopKRunLocal) so the prefix fold is exact — see RunTopK.
-      struct Entry {
-        int64_t first = 0;
-        int64_t shard = 0;
-        int64_t len = 0;
-        std::unique_ptr<TopKCollector> local;
-        EnumerationResult stats;
-      };
-      std::vector<Entry> entries;
-      std::mutex mu;
-      const StreamStats stream = StreamTwoPhase(
-          motif, options, pool, control,
-          [&](int64_t first, int64_t shard, const MatchBinding* begin,
-              const MatchBinding* end) {
-            Entry e;
-            e.first = first;
-            e.shard = shard;
-            e.len = end - begin;
-            e.local = std::make_unique<TopKCollector>(options.k);
-            e.stats = TopKRunLocal(graph_, motif, options, &window_cache,
-                                   begin, end, first, control, e.local.get());
-            std::lock_guard<std::mutex> lock(mu);
-            entries.push_back(std::move(e));
-          });
-      std::sort(entries.begin(), entries.end(),
-                [](const Entry& a, const Entry& b) {
-                  return a.first < b.first;
-                });
-      TopKCollector global(options.k);
-      int64_t expected = 0;
-      int64_t matches_done = 0;
-      for (Entry& e : entries) {
-        if (e.first != expected || e.shard > stream.stopped_shard_min) break;
-        global.MergeFrom(std::move(*e.local));
-        result->stats.MergeFrom(e.stats);
-        matches_done += e.stats.num_structural_matches;
-        if (e.stats.num_structural_matches != e.len) break;
-        expected = e.first + e.len;
-      }
-      result->stats.phase1_seconds = stream.p1_cpu_seconds;
-      result->num_batches = stream.num_batches;
       result->topk = global.Drain();
       FinalizeTopKStats(&result->stats, result->topk.size());
-      result->termination = control->Finish(matches_done);
-      return;
+      break;
     }
     case QueryMode::kTop1: {
-      SharedWindowCache window_cache(options.delta);
-      AttachWindowCache(&window_cache, control, options);
-      MaxFlowDpSearcher searcher(graph_, motif, options.delta,
-                                 &window_cache);
+      MaxFlowDpSearcher searcher(graph_, motif, options.delta, &window_cache);
       searcher.set_query_control(control);
-      std::mutex mu;
-      struct Entry {
-        int64_t first = 0;
-        int64_t shard = 0;
-        int64_t len = 0;
-        MaxFlowDpSearcher::Result out;
-      };
-      std::vector<Entry> entries;
+      using DpResult = MaxFlowDpSearcher::Result;
       DpScratchPool scratch_pool;
-      const StreamStats stream = StreamTwoPhase(
-          motif, options, pool, control,
-          [&](int64_t first, int64_t shard, const MatchBinding* begin,
-              const MatchBinding* end) {
-            std::unique_ptr<MaxFlowDpSearcher::Scratch> scratch =
-                scratch_pool.Acquire();
-            Entry e;
-            e.first = first;
-            e.shard = shard;
-            e.len = end - begin;
-            e.out = searcher.RunOnMatches(begin, end, scratch.get(), control);
-            scratch_pool.Release(std::move(scratch));
-            std::lock_guard<std::mutex> lock(mu);
-            entries.push_back(std::move(e));
-          });
-      // Restore serial batch order before folding so the "earliest
-      // match wins flow ties" rule sees batches in match order.
-      std::sort(entries.begin(), entries.end(),
-                [](const Entry& a, const Entry& b) {
-                  return a.first < b.first;
-                });
-      std::vector<MaxFlowDpSearcher::Result> ordered;
-      ordered.reserve(entries.size());
-      int64_t expected = 0;
-      int64_t matches_done = 0;
-      for (Entry& e : entries) {
-        if (control != nullptr &&
-            (e.first != expected || e.shard > stream.stopped_shard_min)) {
-          break;
+      BatchOutputs<DpResult> outputs;
+      const int64_t stopped = run_pipeline([&](const MatchRun& run) {
+        std::unique_ptr<MaxFlowDpSearcher::Scratch> scratch =
+            scratch_pool.Acquire();
+        DpResult out =
+            searcher.RunOnMatches(run.begin, run.end, scratch.get(), control);
+        scratch_pool.Release(std::move(scratch));
+        outputs.Add(run, std::move(out));
+      });
+      // Batch incumbents fold in match order with the strictly-greater
+      // rule — the serial searcher's per-match rule — so the earliest
+      // match wins flow ties; the incumbent of a batch covers exactly
+      // its matches_processed leading matches.
+      DpResult best;
+      matches_done = outputs.Fold(stopped, [&best](DpResult& out) {
+        const int64_t done = out.matches_processed;
+        const int64_t num_windows = best.num_windows + out.num_windows;
+        const double seconds = best.seconds + out.seconds;
+        if (out.found && (!best.found || out.max_flow > best.max_flow)) {
+          best = std::move(out);
         }
-        matches_done += e.out.matches_processed;
-        const bool complete = e.out.matches_processed == e.len;
-        ordered.push_back(std::move(e.out));
-        if (control != nullptr && !complete) break;
-        expected = e.first + e.len;
-      }
-      MaxFlowDpSearcher::Result best = MergeTop1Outputs(&ordered);
-      result->stats.num_structural_matches =
-          control != nullptr ? matches_done : stream.num_matches;
+        best.num_windows = num_windows;
+        best.seconds = seconds;
+        return done;
+      });
+      result->stats.num_structural_matches = matches_done;
       result->stats.num_windows_processed = best.num_windows;
-      result->stats.phase1_seconds = stream.p1_cpu_seconds;
       result->stats.phase2_seconds = best.seconds;
-      result->num_batches = stream.num_batches;
       if (best.found) result->stats.num_instances = 1;
       result->top1 = std::move(best);
-      if (control != nullptr) {
-        result->termination = control->Finish(matches_done);
-      }
-      return;
+      break;
     }
     case QueryMode::kSignificance:
-      FLOWMOTIF_CHECK(false) << "kSignificance does not stream";
+      FLOWMOTIF_CHECK(false) << "kSignificance has its own route";
       return;
+  }
+  if (control != nullptr) {
+    result->termination = control->Finish(matches_done);
   }
 }
 

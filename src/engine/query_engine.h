@@ -2,7 +2,6 @@
 #define FLOWMOTIF_ENGINE_QUERY_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -26,23 +25,20 @@ namespace flowmotif {
 struct QueryResult {
   QueryMode mode = QueryMode::kEnumerate;
 
-  /// Unified counters. Timer semantics differ by execution path:
-  /// phase2_seconds is aggregate CPU seconds across workers in every
-  /// parallel run (see EnumerationResult::MergeFrom); phase1_seconds is
-  /// the wall time of the P1 stage on the barrier path (serial or
-  /// parallel) but aggregate CPU seconds of the P1 shard tasks on the
-  /// streamed path, where the phases overlap and no per-phase wall time
-  /// exists — so do not compare phase1_seconds across paths.
-  /// wall_seconds below is always the end-to-end time. In kTopK mode
-  /// num_instances is the number of returned entries (== topk.size())
-  /// and num_phi_prunes is 0: the floating threshold makes the raw
-  /// survivor/prune counts depend on how fast it tightened, so that
-  /// execution-dependent activity is quarantined in num_pruning_probes
-  /// and every other stat is deterministic at any thread count — under
-  /// a hard stop, exact over the canonical match prefix. num_batches
-  /// and num_pruning_probes may differ between the streamed and barrier
-  /// execution paths and across thread counts (batch boundaries are an
-  /// execution detail).
+  /// Unified counters. phase1_seconds is the aggregate CPU seconds of
+  /// the P1 shard tasks (0 for RunOnMatches, which skips P1) and
+  /// phase2_seconds the aggregate CPU seconds of the P2 batches (see
+  /// EnumerationResult::MergeFrom); the phases overlap, so neither is a
+  /// wall time except at one thread. wall_seconds below is always the
+  /// end-to-end time. In kTopK mode num_instances is the number of
+  /// returned entries (== topk.size()) and num_phi_prunes is 0: the
+  /// floating threshold makes the raw survivor/prune counts depend on
+  /// how fast it tightened, so that execution-dependent activity is
+  /// quarantined in num_pruning_probes and every other stat is
+  /// deterministic at any thread count — under a hard stop, exact over
+  /// the canonical match prefix. num_batches
+  /// and num_pruning_probes may differ across thread counts and batch
+  /// sizes (batch boundaries are an execution detail).
   EnumerationResult stats;
 
   /// kCount: memoization hits of the counting recursion.
@@ -114,19 +110,21 @@ struct SweepResult {
 /// significance) plus construction-free counting, configured by one
 /// QueryOptions struct.
 ///
-/// Execution is the paper's two-phase algorithm, parallel in both
-/// phases. Phase P1 decomposes into StructuralMatcher work units
-/// (origins / first-edge images) whose per-shard match buffers merge in
-/// canonical unit order; phase P2 partitions the match list into
-/// contiguous batches. Both run on one worker pool. When no caller
-/// needs the full match list materialized (kCount, kTopK, kTop1, and
-/// kEnumerate with collect_limit == 0), released P1 shards stream
-/// directly into P2 batches with no barrier between the phases. Every
-/// worker fills thread-local state (an EnumerationResult, a bounded
-/// top-k collector, a DP incumbent) which is merged deterministically
-/// (by serial match order where order matters), so results are
-/// byte-identical across thread counts — the parallel-vs-serial
-/// equivalence property test locks this in.
+/// Execution is the paper's two-phase algorithm on one route for
+/// kEnumerate, kCount, kTopK and kTop1, parallel in both phases. Phase
+/// P1 decomposes into StructuralMatcher work units (origins /
+/// first-edge images) scanned as shards; a ShardPrefixMerger releases
+/// completed shards as a contiguous prefix of the serial match order,
+/// and each released shard is cut into P2 batches that run on the same
+/// worker pool while later P1 shards are still matching — no barrier
+/// between the phases. RunOnMatches feeds its given list into the same
+/// batches as one pre-released shard, and a serial run is the 1-thread
+/// case of the pipeline. Every batch fills batch-local state (an
+/// EnumerationResult, a bounded top-k collector, a DP incumbent) that
+/// one canonical-prefix fold merges in serial match order, so results
+/// are byte-identical across thread counts — the parallel-vs-serial
+/// equivalence property test locks this in. The modes differ only in
+/// their batch body and their merge.
 ///
 /// Thread-compatible: one engine may serve concurrent Run calls, since
 /// all mutable state is per-call. The engine itself is a stateless
@@ -177,67 +175,20 @@ class QueryEngine {
   const TimeSeriesGraph& graph() const { return graph_; }
 
  private:
-  /// True when the mode can run with P1 shards streamed straight into
-  /// P2 batches (nothing forces the full match list to exist at once).
-  static bool CanStream(const QueryOptions& options);
+  /// Run and RunOnMatches: validation, lifecycle control and pool
+  /// around Execute (or RunSignificance). `given` is RunOnMatches'
+  /// match list, null for Run.
+  QueryResult RunQuery(const Motif& motif, const QueryOptions& options,
+                       const std::vector<MatchBinding>* given) const;
 
-  /// Phase P1 under an optional lifecycle control (may be null; null =
-  /// the unchanged default paths). With WorkBudget::max_matches set the
-  /// scan runs serially and truncates at exactly that many matches (a
-  /// soft kBudgetExceeded: P2 still runs over the prefix); otherwise
-  /// work units are scanned in parallel with a per-unit check (site
-  /// "p1.unit") and a stop yields the canonical prefix — every fully
-  /// scanned leading unit range plus the stopped range's leading units.
-  std::vector<MatchBinding> FindMatchesControlled(const Motif& motif,
-                                                  ThreadPool* pool,
-                                                  QueryControl* control) const;
-
-  void Dispatch(const Motif& motif, const std::vector<MatchBinding>& matches,
-                const QueryOptions& options, ThreadPool* pool,
-                QueryControl* control, QueryResult* result) const;
-
-  /// The streamed two-phase executor: P1 work-unit shard tasks and the
-  /// P2 match-batch tasks they spawn share `pool`; `batch_fn` is
-  /// invoked concurrently for disjoint contiguous match runs, with
-  /// `first_match_index` the serial-order index of `*begin` (the
-  /// DiscoveryRank key) and `shard` the P1 shard the run came from.
-  /// Under a control, a shard whose P1 scan stops contributes its
-  /// partial (canonically leading) matches and records itself in
-  /// stopped_shard_min; match runs from later shards are not part of
-  /// any canonical prefix and must be discarded by the caller's fold.
-  struct StreamStats {
-    double p1_cpu_seconds = 0.0;  // aggregate across P1 shard tasks
-    int64_t num_matches = 0;
-    int64_t num_batches = 0;
-    /// Smallest shard index whose P1 scan was stopped by the control;
-    /// int64_t max when none was.
-    int64_t stopped_shard_min = 0;
-  };
-  using StreamBatchFn = std::function<void(
-      int64_t first_match_index, int64_t shard, const MatchBinding* begin,
-      const MatchBinding* end)>;
-  StreamStats StreamTwoPhase(const Motif& motif,
-                             const QueryOptions& options, ThreadPool* pool,
-                             QueryControl* control,
-                             const StreamBatchFn& batch_fn) const;
-
-  void RunStreamed(const Motif& motif, const QueryOptions& options,
-                   ThreadPool* pool, QueryControl* control,
-                   QueryResult* result) const;
-
-  void RunEnumerate(const Motif& motif,
-                    const std::vector<MatchBinding>& matches,
-                    const QueryOptions& options, ThreadPool* pool,
-                    QueryControl* control, QueryResult* result) const;
-  void RunCount(const Motif& motif, const std::vector<MatchBinding>& matches,
-                const QueryOptions& options, ThreadPool* pool,
-                QueryControl* control, QueryResult* result) const;
-  void RunTopK(const Motif& motif, const std::vector<MatchBinding>& matches,
-               const QueryOptions& options, ThreadPool* pool,
+  /// The one P1→P2 route of kEnumerate, kCount, kTopK and kTop1: the
+  /// streamed pipeline with the mode's batch body, then the mode's
+  /// merge over the canonical match prefix. P1 runs unless `given`
+  /// supplies the match list.
+  void Execute(const Motif& motif, const QueryOptions& options,
+               const std::vector<MatchBinding>* given, ThreadPool* pool,
                QueryControl* control, QueryResult* result) const;
-  void RunTop1(const Motif& motif, const std::vector<MatchBinding>& matches,
-               const QueryOptions& options, ThreadPool* pool,
-               QueryControl* control, QueryResult* result) const;
+
   void RunSignificance(const Motif& motif, const QueryOptions& options,
                        ThreadPool* pool, QueryControl* control,
                        QueryResult* result) const;

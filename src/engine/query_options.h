@@ -49,12 +49,14 @@ struct QueryOptions {
   int num_random_graphs = 20;
   uint64_t seed = 1;
 
-  /// Worker threads for phase P2. 1 = serial reference path; 0 = one
-  /// per hardware thread. Results are byte-identical for every value.
+  /// Worker threads for both phases. 1 runs the pipeline serially on
+  /// the calling thread; 0 = one per hardware thread. Results are
+  /// byte-identical for every value.
   int num_threads = 1;
 
-  /// Structural matches per parallel batch; 0 derives a size that gives
-  /// each thread several batches for load balancing.
+  /// Structural matches per P2 batch; 0 picks the default — one batch
+  /// per released P1 shard at one thread, otherwise small fixed-size
+  /// batches for load balancing.
   int64_t batch_size = 0;
 
   /// kSignificance and RunSweep: use record-once / replay-many

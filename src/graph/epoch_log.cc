@@ -1,6 +1,7 @@
 #include "graph/epoch_log.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -50,8 +51,8 @@ Status EpochLog::Append(VertexId src, VertexId dst, Timestamp t, Flow f) {
   if (src < 0 || dst < 0) {
     return Status::InvalidArgument("vertex ids must be non-negative");
   }
-  if (!(f > 0.0)) {
-    return Status::InvalidArgument("flows must be positive");
+  if (!(f > 0.0) || !std::isfinite(f)) {
+    return Status::InvalidArgument("flows must be positive and finite");
   }
   if (!empty_ && t < watermark_) {
     return Status::InvalidArgument(

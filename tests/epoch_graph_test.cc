@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -130,6 +131,27 @@ TEST(EpochGraphTest, SealedEpochsMatchBatchPrefixBuilds) {
   const EpochLog::SealInfo after = log.SealEpoch();
   EXPECT_EQ(after.num_appended, 1u);
   EXPECT_EQ(after.watermark, 20);
+}
+
+TEST(EpochGraphTest, AppendRejectsNonFiniteFlowWithoutMutating) {
+  // Regression: `!(f > 0.0)` let +inf into the tail. A rejected append
+  // must leave the tail and the watermark exactly as they were, even
+  // when its timestamp would have advanced the watermark.
+  EpochLog log;
+  ASSERT_TRUE(log.Append(0, 1, 10, 2.0).ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(log.Append(1, 2, 20, inf).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(log.Append(1, 2, 20, -inf).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(log.Append(1, 2, 20, std::numeric_limits<double>::quiet_NaN())
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(log.tail_size(), 1u);
+  EXPECT_EQ(log.watermark(), 10);
+  // A finite append at the same time still goes through.
+  ASSERT_TRUE(log.Append(1, 2, 20, 3.0).ok());
+  EXPECT_EQ(log.watermark(), 20);
+  const EpochLog::SealInfo info = log.SealEpoch();
+  EXPECT_EQ(info.num_appended, 2u);
 }
 
 TEST(EpochGraphTest, TimeSlicesCutExactlyAtEpochBoundaries) {

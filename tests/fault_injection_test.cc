@@ -121,12 +121,12 @@ TEST_F(FaultInjectionTest, EverySiteModeActionTerminatesAndEngineRecovers) {
     QueryOptions o;
     o.mode = QueryMode::kEnumerate;
     o.delta = w.delta;
-    o.collect_limit = -1;  // materialized: barrier path
-    modes.push_back({"enumerate.barrier", o,
+    o.collect_limit = -1;  // materializes every instance
+    modes.push_back({"enumerate.collect", o,
                      {failpoint::kEngineStart, failpoint::kP1Unit,
                       failpoint::kP2Batch}});
-    o.collect_limit = 0;  // counters only: streamed path when threads > 1
-    modes.push_back({"enumerate.streamed", o,
+    o.collect_limit = 0;  // counters only
+    modes.push_back({"enumerate.counters", o,
                      {failpoint::kEngineStart, failpoint::kP1Unit,
                       failpoint::kP2Batch}});
   }
@@ -262,39 +262,80 @@ TEST_F(FaultInjectionTest, MidRunStopExposesExactSerialPrefix) {
 }
 
 TEST_F(FaultInjectionTest, MaxMatchesBudgetTruncatesToExactPrefix) {
+  // The pipeline's ShardPrefixMerger stops releasing at canonical match
+  // index kCap. A soft stop: P2 runs to completion over exactly the
+  // first kCap matches, for every mode and thread count, and the result
+  // equals a clean RunOnMatches over those matches.
   const Workload& w = SharedWorkload();
   const QueryEngine engine(w.graph);
   const StructuralMatcher matcher(w.graph, w.motif);
   const std::vector<MatchBinding> all = matcher.FindAllMatches();
   constexpr int64_t kCap = 10;
   ASSERT_GT(all.size(), static_cast<size_t>(kCap));
+  const std::vector<MatchBinding> head(all.begin(), all.begin() + kCap);
 
-  for (int threads : {1, 4}) {
-    QueryOptions options;
-    options.mode = QueryMode::kEnumerate;
-    options.delta = w.delta;
-    options.collect_limit = -1;
-    options.num_threads = threads;
-    options.budget.max_matches = kCap;
+  for (QueryMode mode : {QueryMode::kEnumerate, QueryMode::kCount,
+                         QueryMode::kTopK, QueryMode::kTop1}) {
+    for (int threads : {1, 4}) {
+      const std::string context = "mode=" +
+                                  std::to_string(static_cast<int>(mode)) +
+                                  " threads=" + std::to_string(threads);
+      SCOPED_TRACE(context);
+      QueryOptions clean;
+      clean.mode = mode;
+      clean.delta = w.delta;
+      clean.collect_limit = -1;
+      clean.k = 5;
+      QueryOptions options = clean;
+      options.num_threads = threads;
+      options.budget.max_matches = kCap;
 
-    const QueryResult result = engine.Run(w.motif, options);
-    EXPECT_EQ(result.termination.code, TerminationCode::kBudgetExceeded)
-        << "threads=" << threads;
-    EXPECT_EQ(result.termination.stopped_at, failpoint::kP1Unit);
-    EXPECT_EQ(result.termination.detail, "max_matches");
-    // A soft stop: P2 ran to completion over exactly the first kCap
-    // matches, for every thread count.
-    EXPECT_EQ(result.termination.work_completed, kCap);
-    EXPECT_EQ(result.stats.num_structural_matches, kCap);
+      const QueryResult result = engine.Run(w.motif, options);
+      EXPECT_EQ(result.termination.code, TerminationCode::kBudgetExceeded);
+      EXPECT_EQ(result.termination.stopped_at, failpoint::kP1Unit);
+      EXPECT_EQ(result.termination.detail, "max_matches");
+      EXPECT_EQ(result.termination.work_completed, kCap);
+      EXPECT_EQ(result.stats.num_structural_matches, kCap);
 
-    const std::vector<MatchBinding> head(all.begin(), all.begin() + kCap);
-    QueryOptions clean;
-    clean.mode = QueryMode::kEnumerate;
-    clean.delta = w.delta;
-    clean.collect_limit = -1;
-    const QueryResult reference = engine.RunOnMatches(w.motif, head, clean);
-    ExpectSamePayload(result, reference,
-                      "max_matches threads=" + std::to_string(threads));
+      const QueryResult reference = engine.RunOnMatches(w.motif, head, clean);
+      ASSERT_TRUE(reference.termination.complete());
+      ExpectSamePayload(result, reference, context);
+    }
+  }
+
+  SweepQuery sweep;
+  sweep.deltas = {w.delta / 2, w.delta, w.delta * 2};
+  sweep.phis = {0.0, 1.0, 2.0};
+  for (const bool replay : {true, false}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(replay ? "sweep replay" : "sweep fallback") +
+                   " threads=" + std::to_string(threads));
+      QueryOptions options;
+      options.num_threads = threads;
+      options.skeleton_replay = replay;
+      options.budget.max_matches = kCap;
+      const SweepResult result = engine.RunSweep(w.motif, sweep, options);
+      EXPECT_EQ(result.termination.code, TerminationCode::kBudgetExceeded);
+      EXPECT_EQ(result.termination.stopped_at, failpoint::kP1Unit);
+      EXPECT_EQ(result.termination.detail, "max_matches");
+      EXPECT_EQ(result.num_structural_matches, kCap);
+      EXPECT_EQ(result.termination.work_completed,
+                static_cast<int64_t>(result.counts.size()));
+      for (size_t d = 0; d < sweep.deltas.size(); ++d) {
+        for (size_t p = 0; p < sweep.phis.size(); ++p) {
+          QueryOptions cell;
+          cell.mode = QueryMode::kCount;
+          cell.delta = sweep.deltas[d];
+          cell.phi = sweep.phis[p];
+          const QueryResult reference =
+              engine.RunOnMatches(w.motif, head, cell);
+          ASSERT_TRUE(reference.termination.complete());
+          EXPECT_EQ(result.cell_valid[d * sweep.phis.size() + p], 1);
+          EXPECT_EQ(result.count(d, p), reference.stats.num_instances)
+              << "delta=" << cell.delta << " phi=" << cell.phi;
+        }
+      }
+    }
   }
 }
 
@@ -383,7 +424,7 @@ TEST_F(FaultInjectionTest, TopKStatsDeterministicAcrossExecutionConfigs) {
         o.batch_size = batch_size;
         if (with_control) {
           // A generous deadline activates the control without ever
-          // tripping, forcing the batch-local TopKRunLocal path.
+          // tripping, forcing batch-local top-k thresholds.
           o.deadline = QueryDeadline::AfterSeconds(3600.0);
         }
         const QueryResult r = engine.Run(w.motif, o);

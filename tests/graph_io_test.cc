@@ -96,6 +96,23 @@ TEST_F(GraphIoTest, LoadRejectsMalformedRows) {
   EXPECT_FALSE(LoadInteractionGraph(path_).ok());
 }
 
+TEST_F(GraphIoTest, LoadRejectsNonFiniteFlow) {
+  // Regression: strtod parses "inf" (and overflows "1e400" to inf), and
+  // the positivity check alone accepted it.
+  for (const char* flow : {"inf", "1e400", "nan"}) {
+    SCOPED_TRACE(flow);
+    {
+      std::ofstream out(path_);
+      out << "0 1 50 3\n";
+      out << "0 1 1 " << flow << "\n";
+    }
+    StatusOr<InteractionGraph> loaded = LoadInteractionGraph(path_);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(":2"), std::string::npos);
+  }
+}
+
 TEST_F(GraphIoTest, ErrorMessagesIncludeLineNumbers) {
   {
     std::ofstream out(path_);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace flowmotif {
 namespace {
 
@@ -42,6 +44,20 @@ TEST(InteractionGraphTest, RejectsNonPositiveFlow) {
   InteractionGraph g;
   EXPECT_FALSE(g.AddEdge(0, 1, 0, 0.0).ok());
   EXPECT_FALSE(g.AddEdge(0, 1, 0, -1.0).ok());
+}
+
+TEST(InteractionGraphTest, RejectsNonFiniteFlow) {
+  // Regression: `!(f > 0.0)` let +inf through, and inf - inf = NaN in
+  // every later prefix-sum difference.
+  InteractionGraph g;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(g.AddEdge(0, 1, 0, inf).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.AddEdge(0, 1, 0, -inf).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.AddEdge(0, 1, 0, std::numeric_limits<double>::quiet_NaN())
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.num_interactions(), 0);
+  EXPECT_EQ(g.num_vertices(), 0);
 }
 
 TEST(InteractionGraphTest, AcceptsSelfLoops) {

@@ -1,17 +1,26 @@
 // The engine's central promise: parallelism — in phase P1 (structural
-// matching) and phase P2 alike, including the streamed P1→P2 pipeline —
+// matching) and phase P2 alike, through the streamed P1→P2 pipeline —
 // never changes any result. For random graphs from the gen/ presets and
 // threads in {1, 2, 4, 8}, every mode must produce byte-identical
 // output — the same instance sets, the same deterministic counters, the
 // same top-k entries — with the single documented exception of the
 // top-k pruning counters, which depend on how fast the floating
-// threshold tightened.
+// threshold tightened. Since the engine's 1-thread run is the same
+// pipeline as its parallel runs, every thread count (1 included) is
+// also checked against an independent oracle: the core classes
+// (FlowMotifEnumerator, InstanceCounter, TopKSearcher,
+// MaxFlowDpSearcher) run directly over FindAllMatches().
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/counter.h"
+#include "core/dp.h"
+#include "core/enumerator.h"
 #include "core/motif_catalog.h"
 #include "core/structural_match.h"
+#include "core/topk.h"
 #include "engine/query_engine.h"
 #include "gen/presets.h"
 #include "util/thread_pool.h"
@@ -46,6 +55,37 @@ std::vector<Workload> Workloads() {
   return workloads;
 }
 
+std::vector<MatchBinding> AllMatches(const Workload& w) {
+  return StructuralMatcher(w.graph, w.motif).FindAllMatches();
+}
+
+/// The enumeration oracle: FlowMotifEnumerator over the serial match
+/// list, materializing every instance in discovery order.
+EnumerationResult OracleEnumerate(const Workload& w,
+                                  std::vector<MotifInstance>* instances) {
+  EnumerationOptions eopts;
+  eopts.delta = w.delta;
+  eopts.phi = w.phi;
+  const FlowMotifEnumerator enumerator(w.graph, w.motif, eopts);
+  InstanceVisitor visitor;
+  if (instances != nullptr) {
+    visitor = [instances](const InstanceView& view) {
+      instances->push_back(view.Materialize());
+      return true;
+    };
+  }
+  return enumerator.RunOnMatches(AllMatches(w), visitor);
+}
+
+void ExpectSameCounters(const EnumerationResult& engine,
+                        const EnumerationResult& oracle) {
+  EXPECT_EQ(engine.num_instances, oracle.num_instances);
+  EXPECT_EQ(engine.num_structural_matches, oracle.num_structural_matches);
+  EXPECT_EQ(engine.num_windows_processed, oracle.num_windows_processed);
+  EXPECT_EQ(engine.num_phi_prunes, oracle.num_phi_prunes);
+  EXPECT_EQ(engine.num_domination_skips, oracle.num_domination_skips);
+}
+
 TEST(ParallelEquivalenceTest, P1MatchListIdenticalAcrossThreadCounts) {
   for (const Workload& w : Workloads()) {
     const StructuralMatcher matcher(w.graph, w.motif);
@@ -59,8 +99,8 @@ TEST(ParallelEquivalenceTest, P1MatchListIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelEquivalenceTest, StreamedCountersIdenticalAcrossThreadCounts) {
-  // collect_limit == 0 routes threads > 1 through the streamed P1→P2
-  // pipeline; all deterministic counters must match the serial run.
+  // collect_limit == 0: counters only. All deterministic counters must
+  // match the serial run and the enumerator oracle.
   for (const Workload& w : Workloads()) {
     QueryEngine engine(w.graph);
     QueryOptions options;
@@ -69,11 +109,17 @@ TEST(ParallelEquivalenceTest, StreamedCountersIdenticalAcrossThreadCounts) {
     options.phi = w.phi;
     options.collect_limit = 0;
 
+    const EnumerationResult oracle = OracleEnumerate(w, nullptr);
     options.num_threads = 1;
     const QueryResult serial = engine.Run(w.motif, options);
     for (int threads : kThreadCounts) {
       options.num_threads = threads;
       const QueryResult streamed = engine.Run(w.motif, options);
+      {
+        SCOPED_TRACE(w.motif.name() + " oracle threads=" +
+                     std::to_string(threads));
+        ExpectSameCounters(streamed.stats, oracle);
+      }
       ASSERT_EQ(streamed.stats.num_instances, serial.stats.num_instances)
           << w.motif.name() << " threads=" << threads;
       ASSERT_EQ(streamed.stats.num_structural_matches,
@@ -96,11 +142,19 @@ TEST(ParallelEquivalenceTest, EnumerateIdenticalAcrossThreadCounts) {
     options.phi = w.phi;
     options.collect_limit = -1;
 
+    std::vector<MotifInstance> oracle_instances;
+    const EnumerationResult oracle = OracleEnumerate(w, &oracle_instances);
     options.num_threads = 1;
     const QueryResult serial = engine.Run(w.motif, options);
     for (int threads : kThreadCounts) {
       options.num_threads = threads;
       const QueryResult parallel = engine.Run(w.motif, options);
+      {
+        SCOPED_TRACE(w.motif.name() + " oracle threads=" +
+                     std::to_string(threads));
+        ExpectSameCounters(parallel.stats, oracle);
+        ASSERT_EQ(parallel.instances, oracle_instances);
+      }
       ASSERT_EQ(parallel.stats.num_instances, serial.stats.num_instances)
           << w.motif.name() << " threads=" << threads;
       ASSERT_EQ(parallel.stats.num_structural_matches,
@@ -118,9 +172,8 @@ TEST(ParallelEquivalenceTest, EnumerateIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelEquivalenceTest, StreamedEnumerateWithCollectLimitStaysIdentical) {
-  // threads > 1 with a collect limit routes through the streamed P1→P2
-  // pipeline (shards released out of order): the collected prefix must
-  // still be the serial discovery-order prefix, exactly.
+  // A collect limit with shards released out of order: the collected
+  // prefix must still be the serial discovery-order prefix, exactly.
   for (const Workload& w : Workloads()) {
     QueryEngine engine(w.graph);
     QueryOptions options;
@@ -157,11 +210,19 @@ TEST(ParallelEquivalenceTest, CountIdenticalAcrossThreadCounts) {
     options.delta = w.delta;
     options.phi = w.phi;
 
+    const InstanceCounter::Result oracle =
+        InstanceCounter(w.graph, w.motif, w.delta, w.phi)
+            .RunOnMatches(AllMatches(w));
     options.num_threads = 1;
     const QueryResult serial = engine.Run(w.motif, options);
     for (int threads : kThreadCounts) {
       options.num_threads = threads;
       const QueryResult parallel = engine.Run(w.motif, options);
+      EXPECT_EQ(parallel.stats.num_instances, oracle.num_instances)
+          << w.motif.name() << " oracle threads=" << threads;
+      EXPECT_EQ(parallel.stats.num_structural_matches,
+                oracle.num_structural_matches);
+      EXPECT_EQ(parallel.stats.num_windows_processed, oracle.num_windows);
       ASSERT_EQ(parallel.stats.num_instances, serial.stats.num_instances)
           << w.motif.name() << " threads=" << threads;
       ASSERT_EQ(parallel.memo_hits, serial.memo_hits);
@@ -180,11 +241,24 @@ TEST(ParallelEquivalenceTest, TopKIdenticalAcrossThreadCounts) {
     options.phi = 0.0;
     options.k = 10;
 
+    const TopKSearcher::Result oracle =
+        TopKSearcher(w.graph, w.motif, w.delta, options.k)
+            .RunOnMatches(AllMatches(w));
     options.num_threads = 1;
     const QueryResult serial = engine.Run(w.motif, options);
     for (int threads : kThreadCounts) {
       options.num_threads = threads;
       const QueryResult parallel = engine.Run(w.motif, options);
+      ASSERT_EQ(parallel.topk.size(), oracle.entries.size())
+          << w.motif.name() << " oracle threads=" << threads;
+      for (size_t i = 0; i < oracle.entries.size(); ++i) {
+        EXPECT_EQ(parallel.topk[i].flow, oracle.entries[i].flow)
+            << w.motif.name() << " oracle threads=" << threads << " entry "
+            << i;
+        EXPECT_EQ(parallel.topk[i].instance, oracle.entries[i].instance)
+            << w.motif.name() << " oracle threads=" << threads << " entry "
+            << i;
+      }
       ASSERT_EQ(parallel.topk.size(), serial.topk.size())
           << w.motif.name() << " threads=" << threads;
       for (size_t i = 0; i < serial.topk.size(); ++i) {
@@ -204,11 +278,24 @@ TEST(ParallelEquivalenceTest, Top1IdenticalAcrossThreadCounts) {
     options.mode = QueryMode::kTop1;
     options.delta = w.delta;
 
+    const MaxFlowDpSearcher::Result oracle =
+        MaxFlowDpSearcher(w.graph, w.motif, w.delta)
+            .RunOnMatches(AllMatches(w));
     options.num_threads = 1;
     const QueryResult serial = engine.Run(w.motif, options);
     for (int threads : kThreadCounts) {
       options.num_threads = threads;
       const QueryResult parallel = engine.Run(w.motif, options);
+      ASSERT_EQ(parallel.top1.found, oracle.found)
+          << w.motif.name() << " oracle threads=" << threads;
+      if (oracle.found) {
+        EXPECT_EQ(parallel.top1.max_flow, oracle.max_flow);
+        EXPECT_EQ(parallel.top1.best, oracle.best);
+        EXPECT_EQ(parallel.top1.binding, oracle.binding);
+        EXPECT_EQ(parallel.top1.window.start, oracle.window.start);
+        EXPECT_EQ(parallel.top1.window.end, oracle.window.end);
+      }
+      EXPECT_EQ(parallel.stats.num_windows_processed, oracle.num_windows);
       ASSERT_EQ(parallel.top1.found, serial.top1.found)
           << w.motif.name() << " threads=" << threads;
       if (serial.top1.found) {

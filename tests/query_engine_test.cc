@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/counter.h"
@@ -212,8 +213,8 @@ TEST(QueryEngineTest, EmptyGraphNoMatches) {
 
 TEST(QueryEngineTest, ZeroMatchGraphThroughEveryMode) {
   // A single edge can never back M(3,3): the match list is empty, so
-  // every mode — serial, parallel-barrier, and streamed alike — must
-  // come back clean instead of tripping over zero-size partitions.
+  // every mode at every thread count must come back clean instead of
+  // tripping over zero-size partitions.
   const TimeSeriesGraph g = testing_util::MakeGraph({{0, 1, 5, 1.0}});
   const QueryEngine engine(g);
   for (int threads : {1, 4}) {
@@ -237,27 +238,37 @@ TEST(QueryEngineTest, ZeroMatchGraphThroughEveryMode) {
   }
 }
 
-TEST(QueryEngineTest, StreamedEnumerateMatchesBarrierCounters) {
-  // collect_limit == 0 takes the streamed P1→P2 pipeline when threads
-  // > 1; collect_limit == -1 takes the barrier path. Their shared
-  // counters must agree.
+TEST(QueryEngineTest, StreamedEnumerateMatchesEnumeratorCounters) {
+  // Counters-only (collect_limit == 0) and materializing
+  // (collect_limit == -1) enumeration run the same pipeline at every
+  // thread count; both must report the counters of FlowMotifEnumerator
+  // run directly, and only the materializing run returns instances.
   const TimeSeriesGraph g = testing_util::PaperFig2Graph();
   const QueryEngine engine(g);
-  QueryOptions barrier = BaseOptions(QueryMode::kEnumerate, 10, 0.0);
-  barrier.num_threads = 4;
-  barrier.collect_limit = -1;
-  const QueryResult from_barrier = engine.Run(M33(), barrier);
-
-  QueryOptions streamed = barrier;
-  streamed.collect_limit = 0;
-  const QueryResult from_stream = engine.Run(M33(), streamed);
-  EXPECT_EQ(from_stream.stats.num_instances,
-            from_barrier.stats.num_instances);
-  EXPECT_EQ(from_stream.stats.num_structural_matches,
-            from_barrier.stats.num_structural_matches);
-  EXPECT_EQ(from_stream.stats.num_windows_processed,
-            from_barrier.stats.num_windows_processed);
-  EXPECT_TRUE(from_stream.instances.empty());
+  EnumerationOptions eopts;
+  eopts.delta = 10;
+  const EnumerationResult direct = FlowMotifEnumerator(g, M33(), eopts).Run();
+  ASSERT_GT(direct.num_instances, 0);
+  for (int threads : {1, 4}) {
+    for (int64_t limit : {int64_t{0}, int64_t{-1}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " limit=" + std::to_string(limit));
+      QueryOptions options = BaseOptions(QueryMode::kEnumerate, 10, 0.0);
+      options.num_threads = threads;
+      options.collect_limit = limit;
+      const QueryResult result = engine.Run(M33(), options);
+      EXPECT_EQ(result.stats.num_instances, direct.num_instances);
+      EXPECT_EQ(result.stats.num_structural_matches,
+                direct.num_structural_matches);
+      EXPECT_EQ(result.stats.num_windows_processed,
+                direct.num_windows_processed);
+      EXPECT_EQ(result.stats.num_phi_prunes, direct.num_phi_prunes);
+      EXPECT_EQ(result.stats.num_domination_skips,
+                direct.num_domination_skips);
+      EXPECT_EQ(static_cast<int64_t>(result.instances.size()),
+                limit == 0 ? 0 : direct.num_instances);
+    }
+  }
 }
 
 }  // namespace
