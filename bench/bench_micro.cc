@@ -7,7 +7,8 @@
 //  * cancellation-check overhead in the DP / counter hot loops — the
 //    same loop with a null control vs an active never-tripping
 //    QueryControl, gated < 1% as a same-run pair by
-//    check_perf_regression.py --overhead-pair.
+//    check_perf_regression.py --overhead-pair — and in the phase-P1
+//    unit scan, gated < 10% the same way.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -139,10 +140,10 @@ BENCHMARK(BM_Phase2PerMatch);
 // machine, so the comparison dodges the cross-machine noise the
 // absolute baseline gate has to absorb with its 25% threshold.
 
-const std::vector<MatchBinding>& MicroMatches() {
-  static const std::vector<MatchBinding>* const kMatches = [] {
+const MatchList& MicroMatches() {
+  static const MatchList* const kMatches = [] {
     StructuralMatcher matcher(MicroGraph(), *MotifCatalog::ByName("M(3,2)"));
-    return new std::vector<MatchBinding>(matcher.FindAllMatches());
+    return new MatchList(matcher.FindMatchList());
   }();
   return *kMatches;
 }
@@ -152,11 +153,11 @@ const std::vector<MatchBinding>& MicroMatches() {
 void RunDpMatchLoop(benchmark::State& state, QueryControl* control) {
   const Motif motif = *MotifCatalog::ByName("M(3,2)");
   const MaxFlowDpSearcher searcher(MicroGraph(), motif, 900);
-  const std::vector<MatchBinding>& matches = MicroMatches();
+  const MatchList& matches = MicroMatches();
   MaxFlowDpSearcher::Scratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(searcher.RunOnMatches(
-        matches.data(), matches.data() + matches.size(), &scratch, control));
+    benchmark::DoNotOptimize(
+        searcher.RunOnMatches(matches, 0, matches.size(), &scratch, control));
   }
 }
 
@@ -177,13 +178,13 @@ BENCHMARK(BM_DpMatchLoop_Control);
 void RunCountMatchLoop(benchmark::State& state, QueryControl* control) {
   const Motif motif = *MotifCatalog::ByName("M(3,2)");
   const InstanceCounter counter(MicroGraph(), motif, 900, 2.0);
-  const std::vector<MatchBinding>& matches = MicroMatches();
+  const MatchList& matches = MicroMatches();
   for (auto _ : state) {
     InstanceCounter::Result result;
     WindowListMru mru;
-    for (const MatchBinding& m : matches) {
+    for (size_t i = 0; i < matches.size(); ++i) {
       if (control != nullptr && control->CheckAt(failpoint::kP2Batch)) break;
-      counter.CountMatch(m, &result, &mru);
+      counter.CountMatch(matches[i], &result, &mru);
     }
     benchmark::DoNotOptimize(result.num_instances);
   }
@@ -200,6 +201,38 @@ void BM_CountMatchLoop_Control(benchmark::State& state) {
   RunCountMatchLoop(state, &control);
 }
 BENCHMARK(BM_CountMatchLoop_Control);
+
+// The P1 scan under a control: StructuralMatcher checks site "p1.unit"
+// once per work unit inside its own unit loop, so a controlled scan is
+// the plain range scan plus one check per origin — not a per-unit
+// re-entry into the matcher.
+void RunP1Scan(benchmark::State& state, QueryControl* control) {
+  const StructuralMatcher matcher(MicroGraph(),
+                                  *MotifCatalog::ByName("M(4,4)A"));
+  for (auto _ : state) {
+    int64_t matches = 0;
+    matcher.FindInUnits(
+        0, matcher.NumWorkUnits(),
+        [&matches](MatchRef) {
+          ++matches;
+          return true;
+        },
+        control);
+    benchmark::DoNotOptimize(matches);
+  }
+}
+
+void BM_P1Scan_NoControl(benchmark::State& state) {
+  RunP1Scan(state, nullptr);
+}
+BENCHMARK(BM_P1Scan_NoControl);
+
+void BM_P1Scan_Control(benchmark::State& state) {
+  QueryControl control(nullptr, QueryDeadline::AfterSeconds(3600.0),
+                       WorkBudget());
+  RunP1Scan(state, &control);
+}
+BENCHMARK(BM_P1Scan_Control);
 
 }  // namespace
 }  // namespace flowmotif

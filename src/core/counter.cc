@@ -88,8 +88,7 @@ InstanceCounter::InstanceCounter(const TimeSeriesGraph& graph,
   cache_ = ResolveWindowCache(window_cache, motif, delta, &owned_cache_);
 }
 
-int64_t InstanceCounter::CountMatch(const MatchBinding& binding,
-                                    Result* result,
+int64_t InstanceCounter::CountMatch(MatchRef binding, Result* result,
                                     WindowListMru* window_mru) const {
   const int m = motif_.num_edges();
   std::vector<const EdgeSeries*> series;
@@ -137,8 +136,14 @@ InstanceCounter::Result InstanceCounter::RunOnMatches(
 }
 
 InstanceCounter::Result InstanceCounter::Run() const {
-  StructuralMatcher matcher(graph_, motif_);
-  return RunOnMatches(matcher.FindAllMatches());
+  Result result;
+  WindowListMru window_mru;
+  StructuralMatcher(graph_, motif_).FindAll([&](MatchRef binding) {
+    ++result.num_structural_matches;
+    result.num_instances += CountMatch(binding, &result, &window_mru);
+    return true;
+  });
+  return result;
 }
 
 }  // namespace flowmotif

@@ -68,7 +68,7 @@ class InstanceCounter {
   /// over serial-order matches (RunOnMatches, the engine's batch runs)
   /// pass one so consecutive matches sharing a (first, last) pair reuse
   /// the computed list even when the shared cache declines the pair.
-  int64_t CountMatch(const MatchBinding& binding, Result* result,
+  int64_t CountMatch(MatchRef binding, Result* result,
                      WindowListMru* window_mru = nullptr) const;
 
   /// Attaches the owning query's lifecycle control (non-owning, may be

@@ -32,7 +32,7 @@ void MaxFlowDpSearcher::CheckScratch(Scratch* scratch) const {
 }
 
 const std::vector<Window>& MaxFlowDpSearcher::BeginMatch(
-    const MatchBinding& binding, Scratch* scratch) const {
+    MatchRef binding, Scratch* scratch) const {
   std::vector<const EdgeSeries*>& series = scratch->series;
   ResolveMatchSeries(graph_, motif_, binding, &series);
 
@@ -45,7 +45,7 @@ const std::vector<Window>& MaxFlowDpSearcher::BeginMatch(
                                           query_control_);
 }
 
-Flow MaxFlowDpSearcher::DpOverWindow(const MatchBinding& binding,
+Flow MaxFlowDpSearcher::DpOverWindow(MatchRef binding,
                                      const Window& window, Scratch* scratch,
                                      Result* result) const {
   const size_t m = static_cast<size_t>(motif_.num_edges());
@@ -151,7 +151,7 @@ Flow MaxFlowDpSearcher::DpOverWindow(const MatchBinding& binding,
   // recorded splits backwards (Table 2's bold cells). The offset rows
   // already hold every series bound the traceback needs.
   MotifInstance instance;
-  instance.binding = binding;
+  instance.binding = binding.ToBinding();
   instance.edge_sets.assign(m, {});
   size_t i = tau - 1;
   for (size_t k = m - 1; k >= 1; --k) {
@@ -175,13 +175,13 @@ Flow MaxFlowDpSearcher::DpOverWindow(const MatchBinding& binding,
   result->found = true;
   result->max_flow = window_best;
   result->best = std::move(instance);
-  result->binding = binding;
+  result->binding = result->best.binding;
   result->window = window;
   return window_best;
 }
 
 MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatch(
-    const MatchBinding& binding) const {
+    MatchRef binding) const {
   Result result;
   WallTimer timer;
   Scratch scratch;
@@ -197,33 +197,26 @@ MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatch(
 
 MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatches(
     const std::vector<MatchBinding>& matches) const {
-  return RunOnMatches(matches.data(), matches.data() + matches.size());
-}
-
-MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatches(
-    const MatchBinding* begin, const MatchBinding* end) const {
+  const MatchList list(static_cast<size_t>(motif_.num_nodes()), matches);
   Scratch scratch;
-  return RunOnMatches(begin, end, &scratch);
+  return RunOnMatches(list, 0, list.size(), &scratch);
 }
 
 MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatches(
-    const MatchBinding* begin, const MatchBinding* end,
-    Scratch* scratch) const {
-  return RunOnMatches(begin, end, scratch, /*control=*/nullptr);
-}
-
-MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatches(
-    const MatchBinding* begin, const MatchBinding* end, Scratch* scratch,
+    const MatchList& matches, size_t begin, size_t end, Scratch* scratch,
     QueryControl* control) const {
+  FLOWMOTIF_CHECK_LE(begin, end);
+  FLOWMOTIF_CHECK_LE(end, matches.size());
   Result result;
   WallTimer timer;
   CheckScratch(scratch);
-  for (const MatchBinding* binding = begin; binding != end; ++binding) {
+  for (size_t i = begin; i < end; ++i) {
     if (control != nullptr && control->CheckAt(failpoint::kDpMatch)) break;
-    const std::vector<Window>& windows = BeginMatch(*binding, scratch);
+    const MatchRef binding = matches[i];
+    const std::vector<Window>& windows = BeginMatch(binding, scratch);
     result.num_windows += static_cast<int64_t>(windows.size());
     for (const Window& window : windows) {
-      DpOverWindow(*binding, window, scratch, &result);
+      DpOverWindow(binding, window, scratch, &result);
     }
     ++result.matches_processed;
   }
@@ -232,12 +225,13 @@ MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatches(
 }
 
 MaxFlowDpSearcher::Result MaxFlowDpSearcher::Run() const {
-  StructuralMatcher matcher(graph_, motif_);
-  return RunOnMatches(matcher.FindAllMatches());
+  const MatchList matches = StructuralMatcher(graph_, motif_).FindMatchList();
+  Scratch scratch;
+  return RunOnMatches(matches, 0, matches.size(), &scratch);
 }
 
 std::vector<MaxFlowDpSearcher::WindowBest> MaxFlowDpSearcher::RunPerWindow(
-    const MatchBinding& binding) const {
+    MatchRef binding) const {
   Scratch scratch;
   CheckScratch(&scratch);
   const std::vector<Window>& windows = BeginMatch(binding, &scratch);

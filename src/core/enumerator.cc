@@ -10,7 +10,7 @@ namespace flowmotif {
 
 MotifInstance InstanceView::Materialize() const {
   MotifInstance instance;
-  instance.binding = *binding;
+  instance.binding = binding.ToBinding();
   instance.edge_sets.resize(slices->size());
   for (size_t i = 0; i < slices->size(); ++i) {
     const EdgeSlice& slice = (*slices)[i];
@@ -29,7 +29,7 @@ struct FlowMotifEnumerator::Context {
   std::vector<EdgeSlice> slices;          // current partial assignment
   Window window{0, 0};
   Flow min_flow_so_far = 0.0;  // min prefix flow over slices chosen so far
-  const MatchBinding* binding = nullptr;
+  MatchRef binding;
   const InstanceVisitor* visitor = nullptr;
   EnumerationResult* result = nullptr;
   bool stop = false;
@@ -162,7 +162,7 @@ void FlowMotifEnumerator::Recurse(Context* ctx, int level,
   }
 }
 
-bool FlowMotifEnumerator::EnumerateMatch(const MatchBinding& binding,
+bool FlowMotifEnumerator::EnumerateMatch(MatchRef binding,
                                          const InstanceVisitor& visitor,
                                          EnumerationResult* result) const {
   const int m = motif_.num_edges();
@@ -170,7 +170,7 @@ bool FlowMotifEnumerator::EnumerateMatch(const MatchBinding& binding,
   ResolveMatchSeries(graph_, motif_, binding, &ctx.series);
   ctx.slices.resize(static_cast<size_t>(m));
   ctx.level_limit.assign(static_cast<size_t>(m), 0);
-  ctx.binding = &binding;
+  ctx.binding = binding;
   ctx.visitor = &visitor;
   ctx.result = result;
 
@@ -225,7 +225,7 @@ bool FlowMotifEnumerator::EnumerateMatch(const MatchBinding& binding,
 }
 
 bool FlowMotifEnumerator::EnumerateMatchWindows(
-    const MatchBinding& binding, const Window* windows_begin,
+    MatchRef binding, const Window* windows_begin,
     const Window* windows_end, const InstanceVisitor& visitor,
     EnumerationResult* result) const {
   const int m = motif_.num_edges();
@@ -233,7 +233,7 @@ bool FlowMotifEnumerator::EnumerateMatchWindows(
   ResolveMatchSeries(graph_, motif_, binding, &ctx.series);
   ctx.slices.resize(static_cast<size_t>(m));
   ctx.level_limit.assign(static_cast<size_t>(m), 0);
-  ctx.binding = &binding;
+  ctx.binding = binding;
   ctx.visitor = &visitor;
   ctx.result = result;
 
@@ -256,7 +256,7 @@ EnumerationResult FlowMotifEnumerator::Run(
   double phase2_seconds = 0.0;
 
   StructuralMatcher matcher(graph_, motif_);
-  matcher.FindAll([&](const MatchBinding& binding) {
+  matcher.FindAll([&](MatchRef binding) {
     ++result.num_structural_matches;
     WallTimer p2_timer;
     const bool keep_going = EnumerateMatch(binding, visitor, &result);
@@ -271,16 +271,22 @@ EnumerationResult FlowMotifEnumerator::Run(
 }
 
 EnumerationResult FlowMotifEnumerator::RunOnMatches(
-    const std::vector<MatchBinding>& matches,
-    const InstanceVisitor& visitor) const {
+    const MatchList& matches, const InstanceVisitor& visitor) const {
   EnumerationResult result;
   WallTimer timer;
-  for (const MatchBinding& binding : matches) {
+  for (size_t i = 0; i < matches.size(); ++i) {
     ++result.num_structural_matches;
-    if (!EnumerateMatch(binding, visitor, &result)) break;
+    if (!EnumerateMatch(matches[i], visitor, &result)) break;
   }
   result.phase2_seconds = timer.ElapsedSeconds();
   return result;
+}
+
+EnumerationResult FlowMotifEnumerator::RunOnMatches(
+    const std::vector<MatchBinding>& matches,
+    const InstanceVisitor& visitor) const {
+  return RunOnMatches(
+      MatchList(static_cast<size_t>(motif_.num_nodes()), matches), visitor);
 }
 
 std::vector<MotifInstance> FlowMotifEnumerator::CollectAll() const {

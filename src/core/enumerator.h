@@ -88,7 +88,7 @@ struct EdgeSlice {
 /// visitor call. Call Materialize() to keep it.
 struct InstanceView {
   const Motif* motif = nullptr;
-  const MatchBinding* binding = nullptr;
+  MatchRef binding;
   const std::vector<EdgeSlice>* slices = nullptr;
   Window window{0, 0};
   Flow flow = 0.0;  // f(GI), Eq. 1
@@ -165,13 +165,16 @@ class FlowMotifEnumerator {
   /// Phase P2 only, over the given (externally computed) matches. Used by
   /// benchmarks that isolate P2 and by the significance analyzer, which
   /// reuses the real graph's matches on flow-permuted graphs.
+  EnumerationResult RunOnMatches(const MatchList& matches,
+                                 const InstanceVisitor& visitor = nullptr)
+      const;
   EnumerationResult RunOnMatches(const std::vector<MatchBinding>& matches,
                                  const InstanceVisitor& visitor = nullptr)
       const;
 
   /// Phase P2 for a single structural match, accumulating into `result`.
   /// Returns false if the visitor requested a stop.
-  bool EnumerateMatch(const MatchBinding& binding,
+  bool EnumerateMatch(MatchRef binding,
                       const InstanceVisitor& visitor,
                       EnumerationResult* result) const;
 
@@ -182,7 +185,7 @@ class FlowMotifEnumerator {
   /// AdvanceProcessedWindows, whose concatenation is exactly the batch
   /// list, so instances come out byte-identical to EnumerateMatch across
   /// the whole sequence of calls. Returns false on visitor stop.
-  bool EnumerateMatchWindows(const MatchBinding& binding,
+  bool EnumerateMatchWindows(MatchRef binding,
                              const Window* windows_begin,
                              const Window* windows_end,
                              const InstanceVisitor& visitor,

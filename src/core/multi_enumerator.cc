@@ -36,7 +36,7 @@ std::vector<EnumerationResult> MultiMotifEnumerator::Run(
 
   WallTimer total_timer;
   double phase2_seconds = 0.0;
-  matcher_.FindAll([&](size_t motif_idx, const MatchBinding& binding) {
+  matcher_.FindAll([&](size_t motif_idx, MatchRef binding) {
     EnumerationResult& result = results[motif_idx];
     ++result.num_structural_matches;
     WallTimer p2_timer;

@@ -72,25 +72,20 @@ MultiStructuralMatcher::MultiStructuralMatcher(const TimeSeriesGraph& graph,
 void MultiStructuralMatcher::FindAll(const Visitor& visitor) const {
   FLOWMOTIF_CHECK(visitor != nullptr);
   MatchBinding binding(static_cast<size_t>(max_nodes_), -1);
-  std::vector<bool> vertex_used(static_cast<size_t>(graph_.num_vertices()),
-                                false);
   bool stop = false;
-  Dfs(0, /*prev_vertex=*/-1, /*bound_nodes=*/0, &binding, &vertex_used,
-      visitor, &stop);
+  Dfs(0, /*prev_vertex=*/-1, /*bound_nodes=*/0, &binding, visitor, &stop);
 }
 
 void MultiStructuralMatcher::Dfs(size_t node, VertexId prev_vertex,
                                  int bound_nodes, MatchBinding* binding,
-                                 std::vector<bool>* vertex_used,
                                  const Visitor& visitor, bool* stop) const {
   if (*stop) return;
 
   // Motifs whose whole path has been consumed match with the current
   // binding prefix.
   for (size_t motif_idx : nodes_[node].terminal_motifs) {
-    const int n = motifs_[motif_idx].num_nodes();
-    MatchBinding match(binding->begin(), binding->begin() + n);
-    if (!visitor(motif_idx, match)) {
+    const size_t n = static_cast<size_t>(motifs_[motif_idx].num_nodes());
+    if (!visitor(motif_idx, MatchRef(binding->data(), n))) {
       *stop = true;
       return;
     }
@@ -105,7 +100,7 @@ void MultiStructuralMatcher::Dfs(size_t node, VertexId prev_vertex,
       if (prev_vertex >= 0 && graph_.FindPairIndex(prev_vertex, v) < 0) {
         continue;
       }
-      Dfs(child, v, bound_nodes, binding, vertex_used, visitor, stop);
+      Dfs(child, v, bound_nodes, binding, visitor, stop);
       continue;
     }
     // Canonical labels bind in order: `label == bound_nodes` is a fresh
@@ -116,21 +111,21 @@ void MultiStructuralMatcher::Dfs(size_t node, VertexId prev_vertex,
       for (VertexId v = 0; v < graph_.num_vertices() && !*stop; ++v) {
         if (graph_.OutDegree(v) == 0) continue;
         (*binding)[static_cast<size_t>(label)] = v;
-        (*vertex_used)[static_cast<size_t>(v)] = true;
-        Dfs(child, v, bound_nodes + 1, binding, vertex_used, visitor, stop);
-        (*vertex_used)[static_cast<size_t>(v)] = false;
+        Dfs(child, v, bound_nodes + 1, binding, visitor, stop);
         (*binding)[static_cast<size_t>(label)] = -1;
       }
       continue;
     }
     for (size_t p = graph_.OutBegin(prev_vertex);
          p < graph_.OutEnd(prev_vertex) && !*stop; ++p) {
-      const VertexId to = graph_.pair(p).dst;
-      if ((*vertex_used)[static_cast<size_t>(to)]) continue;
+      const VertexId to = graph_.PairDst(p);
+      // Injectivity against the bound_nodes entries bound so far.
+      if (std::find(binding->begin(), binding->begin() + bound_nodes, to) !=
+          binding->begin() + bound_nodes) {
+        continue;
+      }
       (*binding)[static_cast<size_t>(label)] = to;
-      (*vertex_used)[static_cast<size_t>(to)] = true;
-      Dfs(child, to, bound_nodes + 1, binding, vertex_used, visitor, stop);
-      (*vertex_used)[static_cast<size_t>(to)] = false;
+      Dfs(child, to, bound_nodes + 1, binding, visitor, stop);
       (*binding)[static_cast<size_t>(label)] = -1;
     }
   }
@@ -138,7 +133,7 @@ void MultiStructuralMatcher::Dfs(size_t node, VertexId prev_vertex,
 
 std::vector<int64_t> MultiStructuralMatcher::CountAll() const {
   std::vector<int64_t> counts(motifs_.size(), 0);
-  FindAll([&counts](size_t motif_idx, const MatchBinding&) {
+  FindAll([&counts](size_t motif_idx, MatchRef) {
     ++counts[motif_idx];
     return true;
   });

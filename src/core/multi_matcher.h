@@ -5,6 +5,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/match_list.h"
 #include "core/motif.h"
 #include "graph/time_series_graph.h"
 #include "util/status.h"
@@ -28,9 +29,10 @@ namespace flowmotif {
 /// Every Fig. 3 catalog motif is canonical.
 class MultiStructuralMatcher {
  public:
-  /// Visitor receives (motif index within the input set, binding);
-  /// return false to stop the whole search.
-  using Visitor = std::function<bool(size_t, const MatchBinding&)>;
+  /// Visitor receives (motif index within the input set, a view of the
+  /// binding valid only during the call); return false to stop the
+  /// whole search.
+  using Visitor = std::function<bool(size_t, MatchRef)>;
 
   /// Validates the motif set; NotFound/InvalidArgument on unsupported
   /// motifs (non-path or non-canonical labels).
@@ -61,8 +63,7 @@ class MultiStructuralMatcher {
                          std::vector<Motif> motifs);
 
   void Dfs(size_t node, VertexId prev_vertex, int bound_nodes,
-           MatchBinding* binding, std::vector<bool>* vertex_used,
-           const Visitor& visitor, bool* stop) const;
+           MatchBinding* binding, const Visitor& visitor, bool* stop) const;
 
   const TimeSeriesGraph& graph_;
   std::vector<Motif> motifs_;

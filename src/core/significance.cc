@@ -79,10 +79,8 @@ bool SignificanceAnalyzer::RecordSkeleton(const Motif& motif,
   // reuse_matches off means the fallback path re-runs P1 per graph, but
   // recording still needs the real graph's matches (they are identical
   // on every permutation, so the recorded skeleton serves all tasks).
-  const StructuralMatcher matcher(graph_, motif);
-  const std::vector<MatchBinding> matches =
-      options_.pool != nullptr ? matcher.FindAllMatchesParallel(options_.pool)
-                               : matcher.FindAllMatches();
+  const MatchList matches =
+      StructuralMatcher(graph_, motif).FindMatchList(options_.pool);
   return skeleton->Record(graph_, motif, options_.delta, matches, cache,
                           sk_options);
 }
@@ -217,10 +215,8 @@ SignificanceAnalyzer::PreparedMotif SignificanceAnalyzer::Prepare(
   // path merges deterministically, so the reused list is identical for
   // any pool size.
   if (options_.reuse_matches) {
-    const StructuralMatcher matcher(graph_, motif);
-    prepared.matches = options_.pool != nullptr
-                           ? matcher.FindAllMatchesParallel(options_.pool)
-                           : matcher.FindAllMatches();
+    prepared.matches =
+        StructuralMatcher(graph_, motif).FindMatchList(options_.pool);
   }
   return prepared;
 }

@@ -151,7 +151,7 @@ class SignificanceAnalyzer {
   /// structural matches of the real graph when reuse_matches is set.
   struct PreparedMotif {
     EnumerationOptions enum_options;
-    std::vector<MatchBinding> matches;
+    MatchList matches;
   };
 
   /// The N flow-permutation views, generated serially from Rng(seed).

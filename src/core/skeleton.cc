@@ -108,19 +108,14 @@ void FlowPrefixArena::FillFromFlows(const TimeSeriesGraph& layout_graph,
 FlowPermutationStream::FlowPermutationStream(const TimeSeriesGraph& graph,
                                              uint64_t seed)
     : rng_(seed) {
+  size_t total = 0;
   for (const TimeSeriesGraph::PairEdge& pe : graph.pairs()) {
-    for (size_t i = 0; i < pe.series.size(); ++i) {
-      original_.push_back(pe.series.flow(i));
-    }
+    total += pe.series.size();
   }
-  // Rng::NextBounded's rejection threshold (-bound % bound) depends
-  // only on the bound, and a Fisher-Yates pass over n flows uses the
-  // fixed bound sequence n, n-1, ..., 2. Paying those divisions once
-  // here (indexed by bound) instead of once per element per draw makes
-  // each ensemble draw a pure Next()/swap loop.
-  thresholds_.resize(original_.size() + 1, 0);
-  for (uint64_t b = 2; b < thresholds_.size(); ++b) {
-    thresholds_[b] = -b % b;
+  original_.reserve(total);
+  for (const TimeSeriesGraph::PairEdge& pe : graph.pairs()) {
+    original_.insert(original_.end(), pe.series.flows().begin(),
+                     pe.series.flows().end());
   }
 }
 
@@ -132,18 +127,20 @@ void FlowPermutationStream::NextPermutationInto(std::vector<Flow>* flows) {
   *flows = original_;
   if (flows->empty()) return;
   // Inlined Rng::Shuffle: the same Fisher-Yates walk with the same
-  // NextBounded rejection arithmetic (threshold precomputed above), so
-  // the Next() sequence consumed — and the permutation produced — is
+  // NextBounded rejection rule (redraw while r < 2^64 mod bound), so the
+  // Next() sequence consumed — and the permutation produced — is
   // bit-identical to rng_.Shuffle(flows). The significance equivalence
   // tests lock this identity against the view-based reference path.
+  // The threshold is below `bound`, so a draw r >= bound (all but a
+  // ~bound/2^64 fraction) passes without computing it.
   Flow* v = flows->data();
   for (size_t i = flows->size() - 1; i > 0; --i) {
     const uint64_t bound = i + 1;
-    const uint64_t threshold = thresholds_[bound];
-    uint64_t r;
-    do {
-      r = rng_.Next();
-    } while (r < threshold);
+    uint64_t r = rng_.Next();
+    if (r < bound) {
+      const uint64_t threshold = -bound % bound;
+      while (r < threshold) r = rng_.Next();
+    }
     const size_t j = static_cast<size_t>(r % bound);
     std::swap(v[i], v[j]);
   }
@@ -354,6 +351,16 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
                                  const std::vector<MatchBinding>& matches,
                                  SharedWindowCache* cache,
                                  const Options& options) {
+  return Record(graph, motif, delta,
+                MatchList(static_cast<size_t>(motif.num_nodes()), matches),
+                cache, options);
+}
+
+bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
+                                 const Motif& motif, Timestamp delta,
+                                 const MatchList& matches,
+                                 SharedWindowCache* cache,
+                                 const Options& options) {
   FLOWMOTIF_CHECK_GE(delta, 0);
   Clear();
 
@@ -389,8 +396,7 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
 
   match_viable_.assign(matches.size(), 0);
   for (size_t match_index = 0; match_index < matches.size(); ++match_index) {
-    const MatchBinding& binding = matches[match_index];
-    ResolveMatchSeries(graph, motif, binding, &series);
+    ResolveMatchSeries(graph, motif, matches[match_index], &series);
     for (int k = 0; k < m; ++k) {
       base[static_cast<size_t>(k)] =
           offsets[series_pair_index(series[static_cast<size_t>(k)])];
@@ -418,7 +424,7 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
 void EnumerationSkeleton::RecordSweepDescending(
     const TimeSeriesGraph& graph, const Motif& motif,
     const std::vector<Timestamp>& deltas,
-    const std::vector<MatchBinding>& matches, const Options& options,
+    const MatchList& matches, const Options& options,
     std::vector<EnumerationSkeleton>* skeletons, QueryControl* control) {
   const size_t n = deltas.size();
   skeletons->clear();
@@ -480,7 +486,7 @@ void EnumerationSkeleton::RecordSweepDescending(
       stopped = true;
       break;
     }
-    const MatchBinding& binding = matches[match_index];
+    const MatchRef binding = matches[match_index];
     const EdgeSeries* first_series =
         graph.FindSeries(binding[static_cast<size_t>(first_src)],
                          binding[static_cast<size_t>(first_dst)]);

@@ -103,9 +103,6 @@ class FlowPermutationStream {
 
  private:
   std::vector<Flow> original_;  // the real graph's flows, pair order
-  // Per-bound rejection thresholds of Rng::NextBounded, precomputed so
-  // each draw's Fisher-Yates pass is division-light (see .cc).
-  std::vector<uint64_t> thresholds_;
   Rng rng_;
 };
 
@@ -149,6 +146,10 @@ class EnumerationSkeleton {
   /// enumeration. Recording consults no flow values, so a false return
   /// happens before any flow-dependent work.
   bool Record(const TimeSeriesGraph& graph, const Motif& motif,
+              Timestamp delta, const MatchList& matches,
+              SharedWindowCache* cache, const Options& options);
+  /// The same over owning bindings (flattened once).
+  bool Record(const TimeSeriesGraph& graph, const Motif& motif,
               Timestamp delta, const std::vector<MatchBinding>& matches,
               SharedWindowCache* cache, const Options& options);
   bool Record(const TimeSeriesGraph& graph, const Motif& motif,
@@ -186,7 +187,7 @@ class EnumerationSkeleton {
   static void RecordSweepDescending(
       const TimeSeriesGraph& graph, const Motif& motif,
       const std::vector<Timestamp>& deltas,
-      const std::vector<MatchBinding>& matches, const Options& options,
+      const MatchList& matches, const Options& options,
       std::vector<EnumerationSkeleton>* skeletons,
       QueryControl* control = nullptr);
 

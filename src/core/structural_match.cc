@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/partition.h"
 
@@ -10,6 +11,29 @@ namespace flowmotif {
 StructuralMatcher::StructuralMatcher(const TimeSeriesGraph& graph,
                                      const Motif& motif)
     : graph_(graph), motif_(motif) {}
+
+/// Per-call search state: the binding under construction (-1 = motif
+/// node not yet bound), the visitor and the early-stop flag.
+struct StructuralMatcher::Search {
+  VertexId* binding;
+  size_t num_nodes;
+  const MatchVisitor* visitor;
+  bool stop = false;
+
+  /// The injectivity filter: a graph vertex may back at most one motif
+  /// node. The binding has at most num_nodes entries (motifs are tiny),
+  /// so scanning it beats any per-vertex table.
+  bool Uses(VertexId v) const {
+    for (size_t i = 0; i < num_nodes; ++i) {
+      if (binding[i] == v) return true;
+    }
+    return false;
+  }
+
+  void Emit() {
+    if (!(*visitor)(MatchRef(binding, num_nodes))) stop = true;
+  }
+};
 
 void StructuralMatcher::FindAll(const MatchVisitor& visitor) const {
   FindInUnits(0, NumWorkUnits(), visitor);
@@ -21,194 +45,194 @@ int64_t StructuralMatcher::NumWorkUnits() const {
 }
 
 bool StructuralMatcher::FindInUnits(int64_t begin, int64_t end,
-                                    const MatchVisitor& visitor) const {
+                                    const MatchVisitor& visitor,
+                                    QueryControl* control) const {
   FLOWMOTIF_CHECK(visitor != nullptr);
   FLOWMOTIF_CHECK_GE(begin, 0);
   FLOWMOTIF_CHECK_LE(end, NumWorkUnits());
-  MatchBinding binding(static_cast<size_t>(motif_.num_nodes()), -1);
-  // The injectivity filter: a graph vertex may back at most one motif
-  // node. A bitmap over vertices keeps the check O(1); motif sizes are
-  // tiny so the DFS stack stays shallow.
-  std::vector<bool> vertex_used(static_cast<size_t>(graph_.num_vertices()),
-                                false);
-  bool stop = false;
-  for (int64_t unit = begin; unit < end && !stop; ++unit) {
-    FindInUnitImpl(unit, &binding, &vertex_used, visitor, &stop);
+  std::vector<VertexId> binding(static_cast<size_t>(motif_.num_nodes()), -1);
+  Search search{binding.data(), binding.size(), &visitor};
+  for (int64_t unit = begin; unit < end && !search.stop; ++unit) {
+    if (control != nullptr && control->CheckAt(failpoint::kP1Unit)) {
+      return false;
+    }
+    SearchUnit(unit, &search);
   }
-  return !stop;
+  return !search.stop;
 }
 
-void StructuralMatcher::FindInUnitImpl(int64_t unit, MatchBinding* binding,
-                                       std::vector<bool>* vertex_used,
-                                       const MatchVisitor& visitor,
-                                       bool* stop) const {
+void StructuralMatcher::SearchUnit(int64_t unit, Search* search) const {
+  VertexId* const binding = search->binding;
   if (motif_.is_path()) {
     const VertexId v = static_cast<VertexId>(unit);
     if (graph_.OutDegree(v) == 0) return;  // origin needs an out-edge
     const MotifNode origin = motif_.path().front();
-    (*binding)[static_cast<size_t>(origin)] = v;
-    (*vertex_used)[static_cast<size_t>(v)] = true;
-    Dfs(0, binding, vertex_used, visitor, stop);
-    (*vertex_used)[static_cast<size_t>(v)] = false;
-    (*binding)[static_cast<size_t>(origin)] = -1;
+    binding[origin] = v;
+    Dfs(0, search);
+    binding[origin] = -1;
     return;
   }
   // General motif: the unit binds the first labeled edge to one pair
   // edge (both endpoints are necessarily fresh at edge 0), then the
-  // usual label-order backtracking takes over.
-  const TimeSeriesGraph::PairEdge& pe =
-      graph_.pair(static_cast<size_t>(unit));
-  if (pe.src == pe.dst) return;  // motifs have no self-loops
+  // usual label-order backtracking takes over. The pair's source is the
+  // vertex whose CSR range holds it.
+  const size_t p = static_cast<size_t>(unit);
+  VertexId lo = 0;
+  VertexId hi = static_cast<VertexId>(graph_.num_vertices()) - 1;
+  while (lo < hi) {
+    const VertexId mid = lo + (hi - lo) / 2;
+    if (graph_.OutEnd(mid) > p) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  const VertexId src = lo;
+  const VertexId dst = graph_.PairDst(p);
+  if (src == dst) return;  // motifs have no self-loops
   const auto [src_node, dst_node] = motif_.edge(0);
-  (*binding)[static_cast<size_t>(src_node)] = pe.src;
-  (*vertex_used)[static_cast<size_t>(pe.src)] = true;
-  (*binding)[static_cast<size_t>(dst_node)] = pe.dst;
-  (*vertex_used)[static_cast<size_t>(pe.dst)] = true;
-  GeneralDfs(1, binding, vertex_used, visitor, stop);
-  (*vertex_used)[static_cast<size_t>(pe.dst)] = false;
-  (*binding)[static_cast<size_t>(dst_node)] = -1;
-  (*vertex_used)[static_cast<size_t>(pe.src)] = false;
-  (*binding)[static_cast<size_t>(src_node)] = -1;
+  binding[src_node] = src;
+  binding[dst_node] = dst;
+  GeneralDfs(1, search);
+  binding[dst_node] = -1;
+  binding[src_node] = -1;
 }
 
-std::vector<MatchBinding> StructuralMatcher::FindAllMatchesParallel(
-    ThreadPool* pool) const {
-  FLOWMOTIF_CHECK(pool != nullptr);
-  if (pool->num_threads() == 1) return FindAllMatches();
+MatchList StructuralMatcher::FindMatchList(ThreadPool* pool) const {
+  const size_t stride = static_cast<size_t>(motif_.num_nodes());
+  const auto append_to = [](MatchList* list) {
+    return [list](MatchRef match) {
+      list->Append(match);
+      return true;
+    };
+  };
+  if (pool == nullptr || pool->num_threads() == 1) {
+    MatchList matches(stride);
+    FindAll(append_to(&matches));
+    return matches;
+  }
   // Several unit ranges per worker (the shared chunking heuristic):
   // match density varies wildly across origins, so dynamic scheduling
   // needs the slack.
   const std::vector<IndexRange> ranges =
       PartitionIndexSpace(NumWorkUnits(), pool->num_threads());
-  if (ranges.empty()) return {};
-
-  std::vector<std::vector<MatchBinding>> shards(ranges.size());
+  std::vector<MatchList> shards(ranges.size(), MatchList(stride));
   pool->ParallelFor(static_cast<int64_t>(ranges.size()), [&](int64_t r) {
-    std::vector<MatchBinding>& shard = shards[static_cast<size_t>(r)];
-    FindInUnits(ranges[static_cast<size_t>(r)].begin,
-                ranges[static_cast<size_t>(r)].end,
-                [&shard](const MatchBinding& b) {
-                  shard.push_back(b);
-                  return true;
-                });
+    const IndexRange& range = ranges[static_cast<size_t>(r)];
+    FindInUnits(range.begin, range.end,
+                append_to(&shards[static_cast<size_t>(r)]));
   });
 
   // Deterministic merge: concatenating the shards in range order is the
   // serial discovery order.
   size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  std::vector<MatchBinding> matches;
-  matches.reserve(total);
-  for (auto& shard : shards) {
-    for (MatchBinding& b : shard) matches.push_back(std::move(b));
+  for (const MatchList& shard : shards) total += shard.size();
+  MatchList matches(stride);
+  matches.Reserve(total);
+  for (MatchList& shard : shards) {
+    matches.Append(shard);
+    shard.Release();
   }
   return matches;
 }
 
-void StructuralMatcher::GeneralDfs(int edge_idx, MatchBinding* binding,
-                                   std::vector<bool>* vertex_used,
-                                   const MatchVisitor& visitor,
-                                   bool* stop) const {
-  if (*stop) return;
+std::vector<MatchBinding> StructuralMatcher::FindAllMatchesParallel(
+    ThreadPool* pool) const {
+  FLOWMOTIF_CHECK(pool != nullptr);
+  return FindMatchList(pool).ToBindings();
+}
+
+void StructuralMatcher::GeneralDfs(int edge_idx, Search* search) const {
+  if (search->stop) return;
   if (edge_idx == motif_.num_edges()) {
-    if (!visitor(*binding)) *stop = true;
+    search->Emit();
     return;
   }
+  VertexId* const binding = search->binding;
   const auto [src_node, dst_node] = motif_.edge(edge_idx);
-  const VertexId src = (*binding)[static_cast<size_t>(src_node)];
-  const VertexId dst = (*binding)[static_cast<size_t>(dst_node)];
-
-  auto bind_and_recurse = [&](MotifNode node, VertexId v) {
-    (*binding)[static_cast<size_t>(node)] = v;
-    (*vertex_used)[static_cast<size_t>(v)] = true;
-    GeneralDfs(edge_idx + 1, binding, vertex_used, visitor, stop);
-    (*vertex_used)[static_cast<size_t>(v)] = false;
-    (*binding)[static_cast<size_t>(node)] = -1;
-  };
+  const VertexId src = binding[src_node];
+  const VertexId dst = binding[dst_node];
 
   if (src >= 0 && dst >= 0) {
-    if (graph_.FindPairIndex(src, dst) >= 0) {
-      GeneralDfs(edge_idx + 1, binding, vertex_used, visitor, stop);
-    }
+    if (graph_.FindPairIndex(src, dst) >= 0) GeneralDfs(edge_idx + 1, search);
     return;
   }
   if (src >= 0) {
     // New target: out-neighbors of the bound source.
-    for (size_t p = graph_.OutBegin(src); p < graph_.OutEnd(src); ++p) {
-      if (*stop) return;
-      const VertexId to = graph_.pair(p).dst;
-      if ((*vertex_used)[static_cast<size_t>(to)]) continue;
-      bind_and_recurse(dst_node, to);
+    for (size_t p = graph_.OutBegin(src);
+         p < graph_.OutEnd(src) && !search->stop; ++p) {
+      const VertexId to = graph_.PairDst(p);
+      if (search->Uses(to)) continue;
+      binding[dst_node] = to;
+      GeneralDfs(edge_idx + 1, search);
+      binding[dst_node] = -1;
     }
     return;
   }
   if (dst >= 0) {
     // New source: in-neighbors of the bound target.
-    for (size_t k = graph_.InBegin(dst); k < graph_.InEnd(dst); ++k) {
-      if (*stop) return;
-      const VertexId from = graph_.pair(graph_.InPairIndex(k)).src;
-      if ((*vertex_used)[static_cast<size_t>(from)]) continue;
-      bind_and_recurse(src_node, from);
+    for (size_t k = graph_.InBegin(dst);
+         k < graph_.InEnd(dst) && !search->stop; ++k) {
+      const VertexId from = graph_.InSrc(k);
+      if (search->Uses(from)) continue;
+      binding[src_node] = from;
+      GeneralDfs(edge_idx + 1, search);
+      binding[src_node] = -1;
     }
     return;
   }
   // Both endpoints fresh (only possible for motifs whose label order
   // visits a new weak component before linking it — rare but legal):
-  // scan the pair table.
-  for (size_t p = 0; p < static_cast<size_t>(graph_.num_pairs()) && !*stop;
-       ++p) {
-    const TimeSeriesGraph::PairEdge& pe = graph_.pair(p);
-    if (pe.src == pe.dst) continue;
-    if ((*vertex_used)[static_cast<size_t>(pe.src)] ||
-        (*vertex_used)[static_cast<size_t>(pe.dst)]) {
-      continue;
+  // scan the pair table in (src, dst) order through the CSR arrays.
+  for (VertexId from = 0; from < graph_.num_vertices() && !search->stop;
+       ++from) {
+    if (search->Uses(from)) continue;
+    for (size_t p = graph_.OutBegin(from);
+         p < graph_.OutEnd(from) && !search->stop; ++p) {
+      const VertexId to = graph_.PairDst(p);
+      if (to == from || search->Uses(to)) continue;
+      binding[src_node] = from;
+      binding[dst_node] = to;
+      GeneralDfs(edge_idx + 1, search);
+      binding[dst_node] = -1;
+      binding[src_node] = -1;
     }
-    (*binding)[static_cast<size_t>(src_node)] = pe.src;
-    (*vertex_used)[static_cast<size_t>(pe.src)] = true;
-    bind_and_recurse(dst_node, pe.dst);
-    (*vertex_used)[static_cast<size_t>(pe.src)] = false;
-    (*binding)[static_cast<size_t>(src_node)] = -1;
   }
 }
 
-void StructuralMatcher::Dfs(size_t step, MatchBinding* binding,
-                            std::vector<bool>* vertex_used,
-                            const MatchVisitor& visitor, bool* stop) const {
-  if (*stop) return;
+void StructuralMatcher::Dfs(size_t step, Search* search) const {
+  if (search->stop) return;
   const std::vector<MotifNode>& path = motif_.path();
   if (step + 1 == path.size()) {
-    if (!visitor(*binding)) *stop = true;
+    search->Emit();
     return;
   }
-  const VertexId from = (*binding)[static_cast<size_t>(path[step])];
+  VertexId* const binding = search->binding;
+  const VertexId from = binding[path[step]];
   const MotifNode next_node = path[step + 1];
-  const VertexId bound_to = (*binding)[static_cast<size_t>(next_node)];
+  const VertexId bound_to = binding[next_node];
 
   if (bound_to >= 0) {
     // Node already fixed by an earlier path position (cycle / repeat):
     // only the edge existence must be verified.
-    if (graph_.FindPairIndex(from, bound_to) >= 0) {
-      Dfs(step + 1, binding, vertex_used, visitor, stop);
-    }
+    if (graph_.FindPairIndex(from, bound_to) >= 0) Dfs(step + 1, search);
     return;
   }
 
-  for (size_t p = graph_.OutBegin(from); p < graph_.OutEnd(from); ++p) {
-    if (*stop) return;
-    const VertexId to = graph_.pair(p).dst;
-    if ((*vertex_used)[static_cast<size_t>(to)]) continue;  // injectivity
-    (*binding)[static_cast<size_t>(next_node)] = to;
-    (*vertex_used)[static_cast<size_t>(to)] = true;
-    Dfs(step + 1, binding, vertex_used, visitor, stop);
-    (*vertex_used)[static_cast<size_t>(to)] = false;
-    (*binding)[static_cast<size_t>(next_node)] = -1;
+  for (size_t p = graph_.OutBegin(from);
+       p < graph_.OutEnd(from) && !search->stop; ++p) {
+    const VertexId to = graph_.PairDst(p);
+    if (search->Uses(to)) continue;  // injectivity
+    binding[next_node] = to;
+    Dfs(step + 1, search);
+    binding[next_node] = -1;
   }
 }
 
 std::vector<MatchBinding> StructuralMatcher::FindAllMatches() const {
   std::vector<MatchBinding> matches;
-  FindAll([&matches](const MatchBinding& b) {
-    matches.push_back(b);
+  FindAll([&matches](MatchRef match) {
+    matches.push_back(match.ToBinding());
     return true;
   });
   return matches;
@@ -216,7 +240,7 @@ std::vector<MatchBinding> StructuralMatcher::FindAllMatches() const {
 
 int64_t StructuralMatcher::CountMatches() const {
   int64_t count = 0;
-  FindAll([&count](const MatchBinding&) {
+  FindAll([&count](MatchRef) {
     ++count;
     return true;
   });

@@ -5,8 +5,10 @@
 #include <functional>
 #include <vector>
 
+#include "core/match_list.h"
 #include "core/motif.h"
 #include "graph/time_series_graph.h"
+#include "util/cancellation.h"
 #include "util/thread_pool.h"
 
 namespace flowmotif {
@@ -29,18 +31,26 @@ namespace flowmotif {
 /// from the in-neighbors of the bound target, and an edge with both
 /// endpoints fresh scans the pair table.
 ///
+/// Both searches read only the graph's compact CSR arrays (PairDst,
+/// InSrc, FindPairIndex), never the PairEdge records with their series,
+/// and keep no per-graph scratch: injectivity is checked against the
+/// at most num_nodes() entries of the binding itself, so a work unit
+/// costs exactly its own DFS — no num_vertices()-sized table to
+/// allocate, zero or clear.
+///
 /// Enumeration order is deterministic: origins in vertex order, neighbors
 /// in CSR (destination / source) order.
 ///
 /// The search decomposes into independent *work units* — one candidate
 /// origin vertex for path motifs, one pair edge as the image of the
 /// first labeled edge for general motifs — which is what the engine's
-/// parallel execution path partitions across workers: per-unit match
-/// lists concatenated in unit order reproduce the serial order exactly.
+/// pipeline partitions into P1 shards: per-unit match lists concatenated
+/// in unit order reproduce the serial order exactly.
 class StructuralMatcher {
  public:
-  /// Visitor invoked per match; return false to stop the search early.
-  using MatchVisitor = std::function<bool(const MatchBinding&)>;
+  /// Visitor invoked per match with a view of the binding that is valid
+  /// only during the call; return false to stop the search early.
+  using MatchVisitor = std::function<bool(MatchRef)>;
 
   StructuralMatcher(const TimeSeriesGraph& graph, const Motif& motif);
   // The matcher keeps a reference to the graph: temporaries would dangle.
@@ -57,19 +67,25 @@ class StructuralMatcher {
 
   /// Streams every match whose work unit lies in [begin, end), in the
   /// serial FindAll order. FindAll is exactly
-  /// FindInUnits(0, NumWorkUnits(), visitor). Returns false iff the
-  /// visitor stopped the search early.
-  bool FindInUnits(int64_t begin, int64_t end,
-                   const MatchVisitor& visitor) const;
+  /// FindInUnits(0, NumWorkUnits(), visitor). With a non-null `control`
+  /// the scan checks it at site "p1.unit" before every unit; a stop
+  /// there ends the scan after the units before it, so the matches
+  /// streamed are those of a leading run of units. Returns false iff
+  /// the visitor or the control stopped the search early.
+  bool FindInUnits(int64_t begin, int64_t end, const MatchVisitor& visitor,
+                   QueryControl* control = nullptr) const;
 
-  /// Convenience: materializes all matches.
+  /// Materializes all matches as owning bindings — the serial reference
+  /// the tests compare every other route against.
   std::vector<MatchBinding> FindAllMatches() const;
 
-  /// Parallel phase P1: partitions the work units into contiguous
-  /// ranges dispatched on `pool`, then concatenates the per-range match
-  /// buffers in range order — byte-identical to FindAllMatches() for
-  /// every thread count. Early stop is not supported (the visitor-free
-  /// API materializes everything).
+  /// All matches, flat, in FindAll order. With a pool of more than one
+  /// thread the work units are split into contiguous ranges scanned in
+  /// parallel and the per-range lists concatenated in range order —
+  /// byte-identical for every thread count.
+  MatchList FindMatchList(ThreadPool* pool = nullptr) const;
+
+  /// FindMatchList(pool) as owning bindings.
   std::vector<MatchBinding> FindAllMatchesParallel(ThreadPool* pool) const;
 
   /// Counts matches without materializing them.
@@ -81,17 +97,11 @@ class StructuralMatcher {
   bool IsMatch(const MatchBinding& binding) const;
 
  private:
-  /// Runs one work unit with caller-provided scratch (reused across
-  /// units so a range of units costs one allocation, not one per unit).
-  void FindInUnitImpl(int64_t unit, MatchBinding* binding,
-                      std::vector<bool>* vertex_used,
-                      const MatchVisitor& visitor, bool* stop) const;
-  void Dfs(size_t step, MatchBinding* binding,
-           std::vector<bool>* vertex_used, const MatchVisitor& visitor,
-           bool* stop) const;
-  void GeneralDfs(int edge_idx, MatchBinding* binding,
-                  std::vector<bool>* vertex_used, const MatchVisitor& visitor,
-                  bool* stop) const;
+  struct Search;
+
+  void SearchUnit(int64_t unit, Search* search) const;
+  void Dfs(size_t step, Search* search) const;
+  void GeneralDfs(int edge_idx, Search* search) const;
 
   const TimeSeriesGraph& graph_;
   const Motif motif_;  // by value: motifs are tiny and callers often pass

@@ -15,7 +15,7 @@ ShardPrefixMerger::ShardPrefixMerger(int64_t num_shards, int64_t max_matches)
 }
 
 std::vector<ShardPrefixMerger::ReleasedShardEntry> ShardPrefixMerger::Complete(
-    int64_t shard, std::vector<MatchBinding> matches) {
+    int64_t shard, MatchList matches) {
   std::lock_guard<std::mutex> lock(mu_);
   FLOWMOTIF_CHECK_GE(shard, 0);
   FLOWMOTIF_CHECK_LT(shard, static_cast<int64_t>(shards_.size()));
@@ -27,13 +27,12 @@ std::vector<ShardPrefixMerger::ReleasedShardEntry> ShardPrefixMerger::Complete(
   std::vector<ReleasedShardEntry> released;
   while (next_unreleased_ < static_cast<int64_t>(shards_.size()) &&
          complete_[static_cast<size_t>(next_unreleased_)]) {
-    std::vector<MatchBinding>& buffer =
-        shards_[static_cast<size_t>(next_unreleased_)];
+    MatchList& buffer = shards_[static_cast<size_t>(next_unreleased_)];
     if (max_matches_ >= 0) {
       const int64_t room =
           std::max<int64_t>(0, max_matches_ - released_matches_);
       if (static_cast<int64_t>(buffer.size()) > room) {
-        buffer.erase(buffer.begin() + room, buffer.end());
+        buffer.Truncate(static_cast<size_t>(room));
         truncated_ = true;
       }
     }
@@ -50,7 +49,7 @@ void ShardPrefixMerger::FreeShard(int64_t shard) {
   FLOWMOTIF_CHECK_LT(shard, static_cast<int64_t>(shards_.size()));
   // Element addresses in shards_ stay stable; only this slot's buffer
   // is reclaimed.
-  std::vector<MatchBinding>().swap(shards_[static_cast<size_t>(shard)]);
+  shards_[static_cast<size_t>(shard)].Release();
 }
 
 int64_t ShardPrefixMerger::num_released() const {

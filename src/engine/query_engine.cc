@@ -121,15 +121,16 @@ void FinalizeTopKStats(EnumerationResult* stats, size_t num_entries) {
 /// each shard is one batch — the serial scan-then-process layout.
 constexpr int64_t kBatchCap = 256;
 
-/// One P2 batch: a contiguous run of matches in canonical (serial
-/// discovery) order.
+/// One P2 batch: a contiguous run [begin, end) of one shard's flat
+/// match buffer, in canonical (serial discovery) order.
 struct MatchRun {
-  int64_t first = 0;  // canonical index of *begin (the DiscoveryRank key)
+  int64_t first = 0;  // canonical index of match `begin` (DiscoveryRank)
   int64_t shard = 0;  // P1 shard the run came from
-  const MatchBinding* begin = nullptr;
-  const MatchBinding* end = nullptr;
+  const MatchList* matches = nullptr;
+  size_t begin = 0;
+  size_t end = 0;
 
-  int64_t size() const { return end - begin; }
+  int64_t size() const { return static_cast<int64_t>(end - begin); }
 };
 
 using BatchFn = std::function<void(const MatchRun&)>;
@@ -145,7 +146,7 @@ struct PipelineStats {
 };
 
 /// The engine's one P1→P2 route. P1 shard tasks (contiguous work-unit
-/// ranges of StructuralMatcher) hand their matches to a
+/// ranges of StructuralMatcher) hand their flat match buffers to a
 /// ShardPrefixMerger, which releases them as a contiguous prefix of the
 /// serial order; each released shard is cut into MatchRuns that run
 /// `batch_fn` on the same pool, concurrently with later P1 shards. With
@@ -153,17 +154,18 @@ struct PipelineStats {
 /// pre-released shard. At one thread the pool runs every task inline,
 /// so the pipeline degenerates to the serial scan-then-process order.
 ///
-/// Under a control a shard whose scan stops keeps its leading units (a
+/// Under a control the matcher checks it before every unit of a shard
+/// (site "p1.unit"); a shard whose scan stops keeps its leading units (a
 /// canonical prefix within the shard) and is recorded in
 /// stopped_shard_min. WorkBudget::max_matches is applied by the merger:
 /// nothing past canonical index max_matches is released, and a dropped
 /// match is reported as a soft kBudgetExceeded at "p1.unit".
 PipelineStats RunPipeline(const TimeSeriesGraph& graph, const Motif& motif,
                           const QueryOptions& options,
-                          const std::vector<MatchBinding>* given,
-                          ThreadPool* pool, QueryControl* control,
-                          const BatchFn& batch_fn) {
+                          const MatchList* given, ThreadPool* pool,
+                          QueryControl* control, const BatchFn& batch_fn) {
   const StructuralMatcher matcher(graph, motif);
+  const size_t stride = static_cast<size_t>(motif.num_nodes());
   // P1 shards: contiguous work-unit ranges, several per worker so
   // dynamic scheduling absorbs the match-density skew across origins.
   const std::vector<IndexRange> ranges =
@@ -199,7 +201,7 @@ PipelineStats RunPipeline(const TimeSeriesGraph& graph, const Motif& motif,
   // shard buffer live at once) before P2 starts — the batch/free
   // cadence is what bounds in-flight memory.
   const auto release = [&](int64_t shard, int64_t first,
-                           const std::vector<MatchBinding>& matches) {
+                           const MatchList& matches) {
     const int64_t n = static_cast<int64_t>(matches.size());
     const int64_t cap = batch_cap > 0 ? batch_cap : std::max<int64_t>(n, 1);
     const int64_t shard_batches = (n + cap - 1) / cap;
@@ -211,8 +213,8 @@ PipelineStats RunPipeline(const TimeSeriesGraph& graph, const Motif& motif,
     pending_batches[static_cast<size_t>(shard)].store(
         shard_batches, std::memory_order_relaxed);
     for (int64_t b = 0; b < n; b += cap) {
-      const MatchRun run{first + b, shard, matches.data() + b,
-                         matches.data() + std::min(n, b + cap)};
+      const MatchRun run{first + b, shard, &matches, static_cast<size_t>(b),
+                         static_cast<size_t>(std::min(n, b + cap))};
       pool->SubmitFront([&batch_fn, &merger, &pending_batches, run] {
         batch_fn(run);
         // acq_rel orders every batch's reads of the buffer before the
@@ -237,28 +239,25 @@ PipelineStats RunPipeline(const TimeSeriesGraph& graph, const Motif& motif,
     pool->Submit([&, r] {
       WallTimer timer;
       const IndexRange& range = ranges[static_cast<size_t>(r)];
-      std::vector<MatchBinding> shard;
+      MatchList shard(stride);
       // A shard holding more than max_matches matches already proves
       // the cap is hit (its first canonical index is >= 0), so it stops
       // scanning there.
-      const auto collect = [&shard, max_matches](const MatchBinding& m) {
-        shard.push_back(m);
-        return max_matches < 0 ||
-               static_cast<int64_t>(shard.size()) <= max_matches;
-      };
-      if (control == nullptr) {
-        matcher.FindInUnits(range.begin, range.end, collect);
-      } else {
-        // Per-unit scan with a cancellation point.
-        for (int64_t u = range.begin; u < range.end; ++u) {
-          if (control->CheckAt(failpoint::kP1Unit)) {
-            int64_t cur = stopped_min.load(std::memory_order_relaxed);
-            while (r < cur && !stopped_min.compare_exchange_weak(
-                                  cur, r, std::memory_order_relaxed)) {
-            }
-            break;
-          }
-          if (!matcher.FindInUnits(u, u + 1, collect)) break;
+      bool capped = false;
+      const bool completed = matcher.FindInUnits(
+          range.begin, range.end,
+          [&shard, &capped, max_matches](MatchRef m) {
+            shard.Append(m);
+            capped = max_matches >= 0 &&
+                     static_cast<int64_t>(shard.size()) > max_matches;
+            return !capped;
+          },
+          control);
+      if (!completed && !capped) {
+        // The control stopped the scan at "p1.unit".
+        int64_t cur = stopped_min.load(std::memory_order_relaxed);
+        while (r < cur && !stopped_min.compare_exchange_weak(
+                              cur, r, std::memory_order_relaxed)) {
         }
       }
       p1_seconds[static_cast<size_t>(r)] = timer.ElapsedSeconds();
@@ -343,9 +342,9 @@ int64_t ForEachMatch(const MatchRun& run, QueryControl* control, Body body) {
     return 0;
   }
   int64_t done = 0;
-  for (const MatchBinding* m = run.begin; m < run.end; ++m, ++done) {
+  for (size_t i = run.begin; i < run.end; ++i, ++done) {
     if (control != nullptr && control->CheckAt(failpoint::kP2Batch)) break;
-    body(*m, run.first + done);
+    body((*run.matches)[i], run.first + done);
   }
   return done;
 }
@@ -359,7 +358,7 @@ EnumerationResult TopKRun(const FlowMotifEnumerator& enumerator,
   EnumerationResult stats;
   WallTimer timer;
   stats.num_structural_matches = ForEachMatch(
-      run, control, [&](const MatchBinding& match, int64_t m_index) {
+      run, control, [&](MatchRef match, int64_t m_index) {
         int64_t emit_index = 0;
         enumerator.EnumerateMatch(
             match,
@@ -409,29 +408,29 @@ class DpScratchPool {
 /// The full match list in canonical order, from the pipeline's P1
 /// shards (RunSweep's P1). Under a stop it is the canonical prefix the
 /// scan reached; under WorkBudget::max_matches, the first max_matches.
-std::vector<MatchBinding> CollectMatches(const TimeSeriesGraph& graph,
-                                         const Motif& motif,
-                                         const QueryOptions& options,
-                                         ThreadPool* pool,
-                                         QueryControl* control) {
-  BatchOutputs<std::vector<MatchBinding>> outputs;
-  const PipelineStats stream =
-      RunPipeline(graph, motif, options, nullptr, pool, control,
-                  [&outputs](const MatchRun& run) {
-                    outputs.Add(run,
-                                std::vector<MatchBinding>(run.begin, run.end));
-                  });
-  std::vector<MatchBinding> matches;
-  matches.reserve(static_cast<size_t>(stream.num_released));
-  outputs.Fold(stream.stopped_shard_min,
-               [&matches](std::vector<MatchBinding>& batch) {
-                 matches.insert(matches.end(),
-                                std::make_move_iterator(batch.begin()),
-                                std::make_move_iterator(batch.end()));
-                 const int64_t n = static_cast<int64_t>(batch.size());
-                 std::vector<MatchBinding>().swap(batch);
-                 return n;
-               });
+MatchList CollectMatches(const TimeSeriesGraph& graph, const Motif& motif,
+                         const QueryOptions& options, ThreadPool* pool,
+                         QueryControl* control) {
+  const size_t stride = static_cast<size_t>(motif.num_nodes());
+  BatchOutputs<MatchList> outputs;
+  const PipelineStats stream = RunPipeline(
+      graph, motif, options, nullptr, pool, control,
+      [&outputs, stride](const MatchRun& run) {
+        MatchList batch(stride);
+        batch.Reserve(static_cast<size_t>(run.size()));
+        for (size_t i = run.begin; i < run.end; ++i) {
+          batch.Append((*run.matches)[i]);
+        }
+        outputs.Add(run, std::move(batch));
+      });
+  MatchList matches(stride);
+  matches.Reserve(static_cast<size_t>(stream.num_released));
+  outputs.Fold(stream.stopped_shard_min, [&matches](MatchList& batch) {
+    matches.Append(batch);
+    const int64_t n = static_cast<int64_t>(batch.size());
+    batch.Release();
+    return n;
+  });
   return matches;
 }
 
@@ -445,12 +444,14 @@ QueryResult QueryEngine::Run(const Motif& motif,
 QueryResult QueryEngine::RunOnMatches(const Motif& motif,
                                       const std::vector<MatchBinding>& matches,
                                       const QueryOptions& options) const {
-  return RunQuery(motif, options, &matches);
+  // Flattened once: every P2 batch then reads a slice of the flat list.
+  const MatchList list(static_cast<size_t>(motif.num_nodes()), matches);
+  return RunQuery(motif, options, &list);
 }
 
-QueryResult QueryEngine::RunQuery(
-    const Motif& motif, const QueryOptions& options,
-    const std::vector<MatchBinding>* given) const {
+QueryResult QueryEngine::RunQuery(const Motif& motif,
+                                  const QueryOptions& options,
+                                  const MatchList* given) const {
   WallTimer wall;
   QueryResult result;
   result.mode = options.mode;
@@ -539,7 +540,7 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
   // Phase P1 once for the whole grid: structural matches depend on
   // neither delta nor phi, so per-point querying re-derives the same
   // list |grid| times.
-  const std::vector<MatchBinding> matches =
+  const MatchList matches =
       CollectMatches(graph_, motif, options, &pool, control);
   result.num_structural_matches = static_cast<int64_t>(matches.size());
   if (control != nullptr && control->ShouldStop()) {
@@ -644,9 +645,8 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
 }
 
 void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
-                          const std::vector<MatchBinding>* given,
-                          ThreadPool* pool, QueryControl* control,
-                          QueryResult* result) const {
+                          const MatchList* given, ThreadPool* pool,
+                          QueryControl* control, QueryResult* result) const {
   // One shared window cache per query: every batch of every worker
   // reads per-match window lists through it (lock-free once built).
   SharedWindowCache window_cache(options.delta);
@@ -690,7 +690,7 @@ void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
         }
         WallTimer timer;
         out.stats.num_structural_matches = ForEachMatch(
-            run, control, [&](const MatchBinding& match, int64_t) {
+            run, control, [&](MatchRef match, int64_t) {
               enumerator.EnumerateMatch(match, visitor, &out.stats);
             });
         out.stats.phase2_seconds = timer.ElapsedSeconds();
@@ -726,7 +726,7 @@ void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
         // (saturation or gated-off memoization).
         WindowListMru window_mru;
         out.counts.num_structural_matches = ForEachMatch(
-            run, control, [&](const MatchBinding& match, int64_t) {
+            run, control, [&](MatchRef match, int64_t) {
               out.counts.num_instances +=
                   counter.CountMatch(match, &out.counts, &window_mru);
             });
@@ -812,8 +812,8 @@ void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
       const int64_t stopped = run_pipeline([&](const MatchRun& run) {
         std::unique_ptr<MaxFlowDpSearcher::Scratch> scratch =
             scratch_pool.Acquire();
-        DpResult out =
-            searcher.RunOnMatches(run.begin, run.end, scratch.get(), control);
+        DpResult out = searcher.RunOnMatches(*run.matches, run.begin,
+                                             run.end, scratch.get(), control);
         scratch_pool.Release(std::move(scratch));
         outputs.Add(run, std::move(out));
       });

@@ -34,11 +34,13 @@ struct QueryResult {
   /// returned entries (== topk.size()) and num_phi_prunes is 0: the
   /// floating threshold makes the raw survivor/prune counts depend on
   /// how fast it tightened, so that execution-dependent activity is
-  /// quarantined in num_pruning_probes and every other stat is
+  /// quarantined in num_pruning_probes. Every other stat is
   /// deterministic at any thread count — under a hard stop, exact over
-  /// the canonical match prefix. num_batches
-  /// and num_pruning_probes may differ across thread counts and batch
-  /// sizes (batch boundaries are an execution detail).
+  /// the canonical match prefix — except num_batches and, in kTopK,
+  /// num_domination_skips (a prefix the floating threshold cuts never
+  /// reaches the domination probe): these, like num_pruning_probes, may
+  /// differ across thread counts and batch sizes (batch boundaries are
+  /// an execution detail).
   EnumerationResult stats;
 
   /// kCount: memoization hits of the counting recursion.
@@ -117,9 +119,12 @@ struct SweepResult {
 /// completed shards as a contiguous prefix of the serial match order,
 /// and each released shard is cut into P2 batches that run on the same
 /// worker pool while later P1 shards are still matching — no barrier
-/// between the phases. RunOnMatches feeds its given list into the same
-/// batches as one pre-released shard, and a serial run is the 1-thread
-/// case of the pipeline. Every batch fills batch-local state (an
+/// between the phases. Shards hold their matches flat (one MatchList
+/// buffer each, freed when the shard's last batch retires), and P2
+/// reads them through MatchRef views, so no match is ever copied into
+/// its own heap vector. RunOnMatches flattens its given list once and
+/// feeds it into the same batches as one pre-released shard, and a
+/// serial run is the 1-thread case of the pipeline. Every batch fills batch-local state (an
 /// EnumerationResult, a bounded top-k collector, a DP incumbent) that
 /// one canonical-prefix fold merges in serial match order, so results
 /// are byte-identical across thread counts — the parallel-vs-serial
@@ -147,8 +152,9 @@ class QueryEngine {
   QueryResult Run(const Motif& motif, const QueryOptions& options) const;
 
   /// Phase P2 only, over externally computed structural matches (used
-  /// by benchmarks that isolate P2). Not available for kSignificance,
-  /// which owns its match reuse internally.
+  /// by benchmarks that isolate P2), each with one vertex per motif
+  /// node. Not available for kSignificance, which owns its match reuse
+  /// internally.
   QueryResult RunOnMatches(const Motif& motif,
                            const std::vector<MatchBinding>& matches,
                            const QueryOptions& options) const;
@@ -177,16 +183,16 @@ class QueryEngine {
  private:
   /// Run and RunOnMatches: validation, lifecycle control and pool
   /// around Execute (or RunSignificance). `given` is RunOnMatches'
-  /// match list, null for Run.
+  /// flattened match list, null for Run.
   QueryResult RunQuery(const Motif& motif, const QueryOptions& options,
-                       const std::vector<MatchBinding>* given) const;
+                       const MatchList* given) const;
 
   /// The one P1→P2 route of kEnumerate, kCount, kTopK and kTop1: the
   /// streamed pipeline with the mode's batch body, then the mode's
   /// merge over the canonical match prefix. P1 runs unless `given`
   /// supplies the match list.
   void Execute(const Motif& motif, const QueryOptions& options,
-               const std::vector<MatchBinding>* given, ThreadPool* pool,
+               const MatchList* given, ThreadPool* pool,
                QueryControl* control, QueryResult* result) const;
 
   void RunSignificance(const Motif& motif, const QueryOptions& options,

@@ -46,6 +46,10 @@ TimeSeriesGraph TimeSeriesGraph::Build(const InteractionGraph& multigraph) {
 
   graph.index_ =
       std::make_shared<const Index>(BuildIndex(graph.pairs_, n));
+#ifndef NDEBUG
+  const Status verified = graph.Verify();
+  FLOWMOTIF_CHECK(verified.ok()) << verified;
+#endif
   return graph;
 }
 
@@ -53,16 +57,18 @@ TimeSeriesGraph::Index TimeSeriesGraph::BuildIndex(
     const std::vector<PairEdge>& pairs, int64_t n) {
   Index index;
 
-  // CSR offsets over the sorted pair list.
+  // CSR offsets and destinations over the sorted pair list.
   index.out_begin.assign(static_cast<size_t>(n) + 1, 0);
+  index.out_dst.reserve(pairs.size());
   for (const PairEdge& pe : pairs) {
     ++index.out_begin[static_cast<size_t>(pe.src) + 1];
+    index.out_dst.push_back(pe.dst);
   }
   for (size_t v = 1; v < index.out_begin.size(); ++v) {
     index.out_begin[v] += index.out_begin[v - 1];
   }
 
-  // Reverse index: pair indices grouped by destination (counting sort;
+  // Reverse adjacency: sources grouped by destination (counting sort;
   // the (dst, src) order follows from the stable pass over pairs sorted
   // by (src, dst)).
   index.in_begin.assign(static_cast<size_t>(n) + 1, 0);
@@ -72,11 +78,11 @@ TimeSeriesGraph::Index TimeSeriesGraph::BuildIndex(
   for (size_t v = 1; v < index.in_begin.size(); ++v) {
     index.in_begin[v] += index.in_begin[v - 1];
   }
-  index.in_index.assign(pairs.size(), 0);
+  index.in_src.assign(pairs.size(), 0);
   std::vector<size_t> cursor(index.in_begin.begin(),
                              index.in_begin.end() - 1);
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    index.in_index[cursor[static_cast<size_t>(pairs[p].dst)]++] = p;
+  for (const PairEdge& pe : pairs) {
+    index.in_src[cursor[static_cast<size_t>(pe.dst)]++] = pe.src;
   }
   return index;
 }
@@ -101,6 +107,7 @@ TimeSeriesGraph TimeSeriesGraph::ExtendWith(
   // identity — while dirty and brand-new pairs get fresh storage stamped
   // with the sealing epoch.
   TimeSeriesGraph out;
+  out.flows_permuted_ = base.flows_permuted_;
   out.pairs_.reserve(base.pairs_.size());
   bool topology_changed = num_vertices != base.num_vertices();
   size_t bi = 0;
@@ -152,6 +159,10 @@ TimeSeriesGraph TimeSeriesGraph::ExtendWith(
     out.index_ = base.index_;  // shared topology, same identity
     out.topology_epoch_ = base.topology_epoch_;
   }
+#ifndef NDEBUG
+  const Status verified = out.Verify();
+  FLOWMOTIF_CHECK(verified.ok()) << verified;
+#endif
   return out;
 }
 
@@ -162,19 +173,11 @@ const EdgeSeries* TimeSeriesGraph::FindSeries(VertexId u, VertexId v) const {
 
 int64_t TimeSeriesGraph::FindPairIndex(VertexId u, VertexId v) const {
   if (u < 0 || u >= num_vertices()) return -1;
-  size_t lo = OutBegin(u);
-  size_t hi = OutEnd(u);
-  // Binary search for dst == v within u's contiguous out-range.
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (pairs_[mid].dst < v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo < OutEnd(u) && pairs_[lo].dst == v) return static_cast<int64_t>(lo);
-  return -1;
+  // Binary search for dst == v within u's contiguous run of out_dst.
+  const VertexId* const dst = index_->out_dst.data();
+  const VertexId* const end = dst + OutEnd(u);
+  const VertexId* const it = std::lower_bound(dst + OutBegin(u), end, v);
+  return it != end && *it == v ? it - dst : -1;
 }
 
 TimeSeriesGraph::Stats TimeSeriesGraph::ComputeStats() const {
@@ -219,6 +222,7 @@ TimeSeriesGraph TimeSeriesGraph::WithPermutedFlows(Rng* rng) const {
   TimeSeriesGraph out;
   out.index_ = index_;  // shared topology, same identity
   out.topology_epoch_ = topology_epoch_;
+  out.flows_permuted_ = true;
   out.pairs_.reserve(pairs_.size());
   size_t cursor = 0;
   for (const PairEdge& pe : pairs_) {
@@ -237,11 +241,95 @@ TimeSeriesGraph TimeSeriesGraph::DeepCopy() const {
   TimeSeriesGraph out;
   out.index_ = std::make_shared<const Index>(*index_);
   out.topology_epoch_ = topology_epoch_;
+  out.flows_permuted_ = flows_permuted_;
   out.pairs_.reserve(pairs_.size());
   for (const PairEdge& pe : pairs_) {
     out.pairs_.push_back(PairEdge{pe.src, pe.dst, pe.series.DeepCopy()});
   }
   return out;
+}
+
+Status TimeSeriesGraph::Verify() const {
+  const auto fail = [](const std::string& what) {
+    return Status::Internal("TimeSeriesGraph::Verify: " + what);
+  };
+  const Index& index = *index_;
+  const size_t num_pairs = pairs_.size();
+  if (index.out_begin.empty()) {
+    return num_pairs == 0 && index.in_begin.empty()
+               ? Status::OK()
+               : fail("pairs or reverse offsets without out offsets");
+  }
+  const int64_t n = num_vertices();
+  const auto check_offsets = [&](const std::vector<size_t>& begin,
+                                 const char* name) -> Status {
+    if (begin.size() != static_cast<size_t>(n) + 1 || begin.front() != 0 ||
+        begin.back() != num_pairs ||
+        !std::is_sorted(begin.begin(), begin.end())) {
+      return fail(std::string(name) + " is not a CSR offset table");
+    }
+    return Status::OK();
+  };
+  Status status = check_offsets(index.out_begin, "out_begin");
+  if (status.ok()) status = check_offsets(index.in_begin, "in_begin");
+  if (!status.ok()) return status;
+  if (index.out_dst.size() != num_pairs || index.in_src.size() != num_pairs) {
+    return fail("out_dst/in_src size differs from the pair count");
+  }
+
+  std::vector<size_t> in_degree(static_cast<size_t>(n), 0);
+  for (size_t p = 0; p < num_pairs; ++p) {
+    const PairEdge& pe = pairs_[p];
+    const std::string at = "pair " + std::to_string(p);
+    if (pe.src < 0 || pe.src >= n || pe.dst < 0 || pe.dst >= n) {
+      return fail(at + " has an endpoint out of range");
+    }
+    if (p > 0 && !(std::make_pair(pairs_[p - 1].src, pairs_[p - 1].dst) <
+                   std::make_pair(pe.src, pe.dst))) {
+      return fail(at + " is not strictly after its predecessor in (src, dst)");
+    }
+    if (p < OutBegin(pe.src) || p >= OutEnd(pe.src)) {
+      return fail(at + " lies outside its source's CSR range");
+    }
+    if (index.out_dst[p] != pe.dst) return fail(at + ": out_dst != dst");
+    ++in_degree[static_cast<size_t>(pe.dst)];
+
+    const EdgeSeries& series = pe.series;
+    if (series.empty()) return fail(at + " has an empty series");
+    const std::vector<double>& prefix = series.prefix_sums();
+    if (prefix.size() != series.size() + 1 || prefix[0] != 0.0) {
+      return fail(at + " has a malformed prefix-sum array");
+    }
+    for (size_t i = 0; i < series.size(); ++i) {
+      if (!(series.flow(i) > 0.0)) return fail(at + " has a non-positive flow");
+      if (i > 0 && (series.time(i) < series.time(i - 1) ||
+                    (!flows_permuted_ && series.at(i) < series.at(i - 1)))) {
+        return fail(at + " series is not sorted by (t, f)");
+      }
+      if (prefix[i + 1] != prefix[i] + series.flow(i)) {
+        return fail(at + " prefix sums differ from the running total");
+      }
+    }
+  }
+
+  // in_src: each destination's run holds strictly ascending sources of
+  // existing pairs, and as many as the destination has in-pairs — so it
+  // is exactly the set of pair sources in (dst, src) order.
+  for (VertexId v = 0; v < n; ++v) {
+    if (InEnd(v) - InBegin(v) != in_degree[static_cast<size_t>(v)]) {
+      return fail("in_begin run of vertex " + std::to_string(v) +
+                  " has the wrong length");
+    }
+    for (size_t k = InBegin(v); k < InEnd(v); ++k) {
+      const VertexId u = index.in_src[k];
+      if ((k > InBegin(v) && !(index.in_src[k - 1] < u)) ||
+          FindPairIndex(u, v) < 0) {
+        return fail("in_src slot " + std::to_string(k) +
+                    " is not the next source of vertex " + std::to_string(v));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 std::string TimeSeriesGraph::DebugString() const {

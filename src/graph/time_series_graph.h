@@ -10,6 +10,7 @@
 #include "graph/interaction_graph.h"
 #include "graph/types.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace flowmotif {
 
@@ -17,9 +18,14 @@ namespace flowmotif {
 /// ordered vertex pair are merged into one edge carrying the interaction
 /// time series R(u, v) (paper Sec. 4, Fig. 5).
 ///
-/// Layout is CSR-like: pair edges are stored sorted by (src, dst) with a
-/// per-vertex offset table, so out-neighbor scans are contiguous and pair
-/// lookup is a binary search within the source's range.
+/// Pair edges are stored sorted by (src, dst). The topology lives apart
+/// from them in plain CSR arrays: out_begin / out_dst (the destination
+/// of every pair, so the out-neighbours of v are one contiguous run of
+/// VertexIds) and in_begin / in_src (the sources of every reverse slot,
+/// grouped by destination in (dst, src) order). Every topology walk —
+/// phase P1's searches, FindPairIndex's binary search, the streaming
+/// monitor's reverse BFS — reads those 4-byte arrays and never touches
+/// a PairEdge, whose series makes it ~100 bytes.
 ///
 /// Storage is split along the flow/structure axis: the CSR index tables
 /// and every series' timestamp array are immutable shared storage, while
@@ -32,7 +38,7 @@ namespace flowmotif {
 /// graphs.
 ///
 /// The class is immutable after Build and therefore safe for concurrent
-/// readers.
+/// readers. Verify() checks every layout invariant.
 class TimeSeriesGraph {
  public:
   /// One edge of GT with its time series.
@@ -91,13 +97,17 @@ class TimeSeriesGraph {
     return static_cast<int64_t>(OutEnd(v) - OutBegin(v));
   }
 
-  /// Reverse adjacency: for k in [InBegin(v), InEnd(v)),
-  /// pair(InPairIndex(k)) is an edge with destination v, ordered by
-  /// source. Used by the general-motif matcher to bind a new source
-  /// vertex of a fan-in edge.
+  /// Destination of pair edge p, read from the compact CSR array:
+  /// equal to pair(p).dst.
+  VertexId PairDst(size_t p) const { return index_->out_dst[p]; }
+
+  /// Reverse adjacency: for k in [InBegin(v), InEnd(v)), InSrc(k) is a
+  /// vertex u with a pair edge (u, v), in ascending u. Used by the
+  /// general-motif matcher to bind a new source vertex of a fan-in edge
+  /// and by the streaming monitor's reverse BFS.
   size_t InBegin(VertexId v) const { return index_->in_begin[v]; }
   size_t InEnd(VertexId v) const { return index_->in_begin[v + 1]; }
-  size_t InPairIndex(size_t k) const { return index_->in_index[k]; }
+  VertexId InSrc(size_t k) const { return index_->in_src[k]; }
   int64_t InDegree(VertexId v) const {
     return static_cast<int64_t>(InEnd(v) - InBegin(v));
   }
@@ -142,13 +152,27 @@ class TimeSeriesGraph {
   /// Human-readable one-line summary for logs.
   std::string DebugString() const;
 
+  /// Checks every layout invariant: pairs strictly sorted by (src, dst)
+  /// with endpoints in range; CSR bounds (offset tables of
+  /// num_vertices() + 1 non-decreasing entries ending at num_pairs());
+  /// out_dst[p] == pair(p).dst; in_src holding exactly the pair sources,
+  /// in (dst, src) order; each series non-empty, sorted by (t, f), with
+  /// positive flows and prefix sums equal to their running total. A
+  /// flow-permutation view (and its deep copies) keeps the timestamps
+  /// but not the flow tie-break, so its series are checked for time
+  /// order only. OK or Internal naming the first violation. Tests call
+  /// it after every constructor; debug builds also after Build and
+  /// ExtendWith.
+  Status Verify() const;
+
  private:
   /// CSR index tables; immutable after Build and shared with
-  /// flow-permutation views.
+  /// flow-permutation views and topology-preserving epochs.
   struct Index {
     std::vector<size_t> out_begin;  // size num_vertices()+1
-    std::vector<size_t> in_index;   // pair indices sorted by (dst, src)
+    std::vector<VertexId> out_dst;  // per pair: pair(p).dst
     std::vector<size_t> in_begin;   // size num_vertices()+1
+    std::vector<VertexId> in_src;   // per reverse slot, by (dst, src)
   };
 
   /// Assembles the CSR forward/reverse offset tables over `pairs`
@@ -159,6 +183,9 @@ class TimeSeriesGraph {
   std::shared_ptr<const Index> index_;  // never null
   // Epoch at which index_ was created; part of topology_identity().
   EpochId topology_epoch_ = 0;
+  // Set by WithPermutedFlows: equal-time elements need not be in flow
+  // order (see Verify).
+  bool flows_permuted_ = false;
 };
 
 }  // namespace flowmotif

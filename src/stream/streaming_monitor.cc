@@ -45,7 +45,7 @@ StreamingMotifMonitor::StreamingMotifMonitor(const Motif& motif,
 void StreamingMotifMonitor::InitializeFromSnapshot() {
   const TimeSeriesGraph& graph = *snapshot_;
   StructuralMatcher matcher(graph, motif_);
-  matcher.FindAll([&](const MatchBinding& binding) {
+  matcher.FindAll([&](MatchRef binding) {
     canonical_ids_.push_back(CreateMatch(binding));
     return true;
   });
@@ -70,10 +70,10 @@ void StreamingMotifMonitor::InitializeFromSnapshot() {
   }
 }
 
-size_t StreamingMotifMonitor::CreateMatch(const MatchBinding& binding) {
+size_t StreamingMotifMonitor::CreateMatch(MatchRef binding) {
   const size_t id = matches_.size();
   matches_.emplace_back();
-  matches_.back().binding = binding;
+  matches_.back().binding = binding.ToBinding();
   for (int e = 0; e < motif_.num_edges(); ++e) {
     const auto [src, dst] = motif_.edge(e);
     auto& bucket = matches_by_pair_[PairKey(
@@ -101,7 +101,7 @@ void StreamingMotifMonitor::RefreshMatchesFull(const TimeSeriesGraph& graph,
   std::vector<size_t> fresh;
   fresh.reserve(canonical_ids_.size());
   size_t old_i = 0;
-  matcher.FindAll([&](const MatchBinding& binding) {
+  matcher.FindAll([&](MatchRef binding) {
     if (old_i < canonical_ids_.size() &&
         matches_[canonical_ids_[old_i]].binding == binding) {
       fresh.push_back(canonical_ids_[old_i++]);
@@ -146,7 +146,7 @@ void StreamingMotifMonitor::RefreshMatchesPath(const TimeSeriesGraph& graph,
       affected[static_cast<size_t>(v)] = 1;
       if (depth == max_depth) continue;
       for (size_t k = graph.InBegin(v); k < graph.InEnd(v); ++k) {
-        const VertexId u = graph.pair(graph.InPairIndex(k)).src;
+        const VertexId u = graph.InSrc(k);
         if (!seen[static_cast<size_t>(u)]) {
           seen[static_cast<size_t>(u)] = 1;
           queue.push({u, depth + 1});
@@ -168,7 +168,7 @@ void StreamingMotifMonitor::RefreshMatchesPath(const TimeSeriesGraph& graph,
       }
       continue;
     }
-    matcher.FindInUnits(v, v + 1, [&](const MatchBinding& binding) {
+    matcher.FindInUnits(v, v + 1, [&](MatchRef binding) {
       if (old_i < old_n && OriginOf(canonical_ids_[old_i]) == v &&
           matches_[canonical_ids_[old_i]].binding == binding) {
         fresh.push_back(canonical_ids_[old_i++]);

@@ -216,7 +216,7 @@ class StreamingMotifMonitor {
   }
 
   void InitializeFromSnapshot();
-  size_t CreateMatch(const MatchBinding& b);
+  size_t CreateMatch(MatchRef b);
   void RebuildCanonicalPos();
   VertexId OriginOf(size_t id) const {
     return matches_[id].binding[static_cast<size_t>(motif_.path().front())];

@@ -60,14 +60,19 @@ TEST(BatchingTest, ExplicitBatchSizeAppliesToSingleThreadToo) {
 
 MatchBinding Binding(VertexId v) { return MatchBinding{v}; }
 
+// A one-node flat shard buffer.
+MatchList Shard(const std::vector<MatchBinding>& bindings) {
+  return MatchList(1, bindings);
+}
+
 TEST(ShardPrefixMergerTest, InOrderCompletionReleasesImmediately) {
   ShardPrefixMerger merger(2);
-  auto released = merger.Complete(0, {Binding(0), Binding(1)});
+  auto released = merger.Complete(0, Shard({Binding(0), Binding(1)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0].shard, 0);
   EXPECT_EQ(released[0].released.first_match_index, 0);
   EXPECT_EQ(released[0].released.matches->size(), 2u);
-  released = merger.Complete(1, {Binding(2)});
+  released = merger.Complete(1, Shard({Binding(2)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0].shard, 1);
   EXPECT_EQ(released[0].released.first_match_index, 2);
@@ -77,15 +82,15 @@ TEST(ShardPrefixMergerTest, InOrderCompletionReleasesImmediately) {
 TEST(ShardPrefixMergerTest, OutOfOrderCompletionHeldUntilPrefixForms) {
   ShardPrefixMerger merger(3);
   // Shard 2 first: nothing can be released yet.
-  EXPECT_TRUE(merger.Complete(2, {Binding(5)}).empty());
+  EXPECT_TRUE(merger.Complete(2, Shard({Binding(5)})).empty());
   EXPECT_EQ(merger.num_released(), 0);
   // Shard 0 releases itself only.
-  auto released = merger.Complete(0, {Binding(1), Binding(2)});
+  auto released = merger.Complete(0, Shard({Binding(1), Binding(2)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0].released.first_match_index, 0);
   // Shard 1 completes the prefix: both 1 and the held 2 come out, with
   // global indices in serial order.
-  released = merger.Complete(1, {Binding(3), Binding(4)});
+  released = merger.Complete(1, Shard({Binding(3), Binding(4)}));
   ASSERT_EQ(released.size(), 2u);
   EXPECT_EQ(released[0].shard, 1);
   EXPECT_EQ(released[0].released.first_match_index, 2);
@@ -98,13 +103,13 @@ TEST(ShardPrefixMergerTest, OutOfOrderCompletionHeldUntilPrefixForms) {
 
 TEST(ShardPrefixMergerTest, EmptyShardsReleaseWithZeroWidth) {
   ShardPrefixMerger merger(3);
-  EXPECT_TRUE(merger.Complete(1, {}).empty());
-  auto released = merger.Complete(0, {});
+  EXPECT_TRUE(merger.Complete(1, Shard({})).empty());
+  auto released = merger.Complete(0, Shard({}));
   // Two empty shards flush; indices do not advance.
   ASSERT_EQ(released.size(), 2u);
   EXPECT_EQ(released[0].released.first_match_index, 0);
   EXPECT_EQ(released[1].released.first_match_index, 0);
-  released = merger.Complete(2, {Binding(7)});
+  released = merger.Complete(2, Shard({Binding(7)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0].released.first_match_index, 0);
   EXPECT_EQ(merger.num_released(), 1);
@@ -112,12 +117,12 @@ TEST(ShardPrefixMergerTest, EmptyShardsReleaseWithZeroWidth) {
 
 TEST(ShardPrefixMergerTest, FreeShardReclaimsBufferKeepsAccounting) {
   ShardPrefixMerger merger(2);
-  auto released = merger.Complete(0, {Binding(0), Binding(1)});
+  auto released = merger.Complete(0, Shard({Binding(0), Binding(1)}));
   ASSERT_EQ(released.size(), 1u);
   merger.FreeShard(released[0].shard);
   // The global index space and accounting are unaffected by the free.
   EXPECT_EQ(merger.num_released(), 2);
-  released = merger.Complete(1, {Binding(2)});
+  released = merger.Complete(1, Shard({Binding(2)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0].released.first_match_index, 2);
   EXPECT_EQ(merger.num_released(), 3);
@@ -125,19 +130,19 @@ TEST(ShardPrefixMergerTest, FreeShardReclaimsBufferKeepsAccounting) {
 
 TEST(ShardPrefixMergerTest, CapInsideShardCutsItAndDropsLaterShards) {
   ShardPrefixMerger merger(3, /*max_matches=*/3);
-  auto released = merger.Complete(0, {Binding(0), Binding(1)});
+  auto released = merger.Complete(0, Shard({Binding(0), Binding(1)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0].released.matches->size(), 2u);
   EXPECT_FALSE(merger.truncated());
   // Shard 1 straddles the cap: only its first match is released.
-  released = merger.Complete(1, {Binding(2), Binding(3), Binding(4)});
+  released = merger.Complete(1, Shard({Binding(2), Binding(3), Binding(4)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0].released.first_match_index, 2);
   ASSERT_EQ(released[0].released.matches->size(), 1u);
   EXPECT_EQ((*released[0].released.matches)[0], Binding(2));
   EXPECT_TRUE(merger.truncated());
   // Past the cap a shard still releases, empty.
-  released = merger.Complete(2, {Binding(5)});
+  released = merger.Complete(2, Shard({Binding(5)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0].released.first_match_index, 3);
   EXPECT_TRUE(released[0].released.matches->empty());
@@ -149,14 +154,14 @@ TEST(ShardPrefixMergerTest, CapOnShardBoundary) {
   // whole, and the cap counts as hit only once a later match is
   // dropped.
   ShardPrefixMerger merger(3, /*max_matches=*/2);
-  auto released = merger.Complete(0, {Binding(0), Binding(1)});
+  auto released = merger.Complete(0, Shard({Binding(0), Binding(1)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0].released.matches->size(), 2u);
   EXPECT_FALSE(merger.truncated());
-  released = merger.Complete(1, {});
+  released = merger.Complete(1, Shard({}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_FALSE(merger.truncated());
-  released = merger.Complete(2, {Binding(2)});
+  released = merger.Complete(2, Shard({Binding(2)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_TRUE(released[0].released.matches->empty());
   EXPECT_TRUE(merger.truncated());
@@ -164,19 +169,19 @@ TEST(ShardPrefixMergerTest, CapOnShardBoundary) {
 
   // A list of exactly max_matches matches is not truncated.
   ShardPrefixMerger exact(2, /*max_matches=*/2);
-  exact.Complete(0, {Binding(0)});
-  exact.Complete(1, {Binding(1)});
+  exact.Complete(0, Shard({Binding(0)}));
+  exact.Complete(1, Shard({Binding(1)}));
   EXPECT_FALSE(exact.truncated());
   EXPECT_EQ(exact.num_released(), 2);
 }
 
 TEST(ShardPrefixMergerTest, CapOfZeroReleasesNothing) {
   ShardPrefixMerger merger(2, /*max_matches=*/0);
-  auto released = merger.Complete(0, {Binding(0)});
+  auto released = merger.Complete(0, Shard({Binding(0)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_TRUE(released[0].released.matches->empty());
   EXPECT_TRUE(merger.truncated());
-  released = merger.Complete(1, {Binding(1)});
+  released = merger.Complete(1, Shard({Binding(1)}));
   ASSERT_EQ(released.size(), 1u);
   EXPECT_TRUE(released[0].released.matches->empty());
   EXPECT_EQ(merger.num_released(), 0);
@@ -186,10 +191,10 @@ TEST(ShardPrefixMergerTest, OutOfOrderCompletionPastCapCutsCanonically) {
   // Shards past the cap complete first; the cut still lands at the
   // canonical index, not at whatever completed first.
   ShardPrefixMerger merger(3, /*max_matches=*/3);
-  EXPECT_TRUE(merger.Complete(2, {Binding(6), Binding(7)}).empty());
-  EXPECT_TRUE(merger.Complete(1, {Binding(3), Binding(4), Binding(5)}).empty());
+  EXPECT_TRUE(merger.Complete(2, Shard({Binding(6), Binding(7)})).empty());
+  EXPECT_TRUE(merger.Complete(1, Shard({Binding(3), Binding(4), Binding(5)})).empty());
   EXPECT_FALSE(merger.truncated());
-  auto released = merger.Complete(0, {Binding(1), Binding(2)});
+  auto released = merger.Complete(0, Shard({Binding(1), Binding(2)}));
   ASSERT_EQ(released.size(), 3u);
   EXPECT_EQ(released[0].released.matches->size(), 2u);
   EXPECT_EQ(released[1].released.first_match_index, 2);

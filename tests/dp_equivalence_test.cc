@@ -402,18 +402,21 @@ TEST(DpEquivalenceTest, ScratchReuseAcrossMatchRangesIsIdentical) {
   const std::vector<MatchBinding> matches = matcher.FindAllMatches();
   if (matches.empty()) GTEST_SKIP() << "no matches in random graph";
   const MaxFlowDpSearcher searcher(graph, motif, 12);
+  const MatchList list(static_cast<size_t>(motif.num_nodes()), matches);
 
   MaxFlowDpSearcher::Scratch shared;
   for (size_t split = 1; split < matches.size(); ++split) {
-    const MaxFlowDpSearcher::Result left = searcher.RunOnMatches(
-        matches.data(), matches.data() + split, &shared);
-    const MaxFlowDpSearcher::Result right = searcher.RunOnMatches(
-        matches.data() + split, matches.data() + matches.size(), &shared);
+    const MaxFlowDpSearcher::Result left =
+        searcher.RunOnMatches(list, 0, split, &shared);
+    const MaxFlowDpSearcher::Result right =
+        searcher.RunOnMatches(list, split, list.size(), &shared);
+    MaxFlowDpSearcher::Scratch fresh_left;
     const MaxFlowDpSearcher::Result left_fresh =
-        searcher.RunOnMatches(matches.data(), matches.data() + split);
+        searcher.RunOnMatches(list, 0, split, &fresh_left);
     ExpectResultsEqual(left, left_fresh, "left split=" + std::to_string(split));
-    MaxFlowDpSearcher::Result right_fresh = searcher.RunOnMatches(
-        matches.data() + split, matches.data() + matches.size());
+    MaxFlowDpSearcher::Scratch fresh_right;
+    MaxFlowDpSearcher::Result right_fresh =
+        searcher.RunOnMatches(list, split, list.size(), &fresh_right);
     ExpectResultsEqual(right, right_fresh,
                        "right split=" + std::to_string(split));
     if (testing::Test::HasFailure()) return;
@@ -467,16 +470,13 @@ TEST(DpEquivalenceTest, WindowCacheHitsAndSaturationStayIdentical) {
   const MaxFlowDpSearcher searcher(graph, motif, 40, &cache);
   ASSERT_EQ(searcher.window_cache(), &cache);
 
+  const MatchList list(static_cast<size_t>(motif.num_nodes()), matches);
   MaxFlowDpSearcher::Scratch shared;
-  ExpectResultsEqual(
-      searcher.RunOnMatches(matches.data(),
-                            matches.data() + matches.size(), &shared),
-      expected, "shared pass 1");
+  ExpectResultsEqual(searcher.RunOnMatches(list, 0, list.size(), &shared),
+                     expected, "shared pass 1");
   // Second full pass reads the warm (saturated) cache.
-  ExpectResultsEqual(
-      searcher.RunOnMatches(matches.data(),
-                            matches.data() + matches.size(), &shared),
-      expected, "shared pass 2 (warm cache)");
+  ExpectResultsEqual(searcher.RunOnMatches(list, 0, list.size(), &shared),
+                     expected, "shared pass 2 (warm cache)");
   // The cap must have saturated the cache below the 1296 distinct
   // pairs, and saturation must never evict (pointers stay valid).
   EXPECT_EQ(cache.size(), cache.max_entries());
@@ -493,10 +493,11 @@ TEST(DpEquivalenceTest, WindowCacheHitsAndSaturationStayIdentical) {
   constexpr size_t kChunk = 500;
   for (size_t begin = 0; begin < matches.size(); begin += kChunk) {
     const size_t end = std::min(begin + kChunk, matches.size());
-    const MaxFlowDpSearcher::Result chunk_shared = searcher.RunOnMatches(
-        matches.data() + begin, matches.data() + end, &shared);
-    const MaxFlowDpSearcher::Result chunk_fresh = searcher.RunOnMatches(
-        matches.data() + begin, matches.data() + end);
+    const MaxFlowDpSearcher::Result chunk_shared =
+        searcher.RunOnMatches(list, begin, end, &shared);
+    MaxFlowDpSearcher::Scratch fresh;
+    const MaxFlowDpSearcher::Result chunk_fresh =
+        searcher.RunOnMatches(list, begin, end, &fresh);
     ExpectResultsEqual(chunk_shared, chunk_fresh,
                        "chunk at " + std::to_string(begin));
     if (testing::Test::HasFailure()) return;

@@ -41,6 +41,11 @@ void ExpectSameGraph(const TimeSeriesGraph& a, const TimeSeriesGraph& b,
   }
 }
 
+void ExpectVerified(const TimeSeriesGraph& g, const std::string& label) {
+  const Status status = g.Verify();
+  EXPECT_TRUE(status.ok()) << label << ": " << status;
+}
+
 TEST(EpochGraphTest, ExtendWithEqualsBatchBuildAndSharesUntouchedStorage) {
   const TimeSeriesGraph base = MakeGraph({
       {0, 1, 5, 2.0}, {0, 1, 9, 1.0}, {1, 2, 7, 3.0}, {2, 0, 8, 4.0},
@@ -57,6 +62,9 @@ TEST(EpochGraphTest, ExtendWithEqualsBatchBuildAndSharesUntouchedStorage) {
       {0, 1, 10, 5.0}, {2, 3, 11, 1.0}, {0, 1, 11, 2.0},
   });
   ExpectSameGraph(extended, batch, "extend vs batch");
+  ExpectVerified(base, "base");
+  ExpectVerified(batch, "batch");
+  ExpectVerified(extended, "extended (index rebuilt)");
 
   // Untouched series share timestamp storage with the base by identity;
   // dirty series get fresh storage stamped with the new epoch.
@@ -76,6 +84,7 @@ TEST(EpochGraphTest, ExtendWithEqualsBatchBuildAndSharesUntouchedStorage) {
   const TimeSeriesGraph flow_only = TimeSeriesGraph::ExtendWith(
       base, {{0, 1, 12, 1.0}}, base.num_vertices(), /*epoch=*/1);
   ASSERT_EQ(flow_only.topology_identity(), base.topology_identity());
+  ExpectVerified(flow_only, "flow-only (index shared)");
 }
 
 TEST(EpochGraphTest, SealedEpochsMatchBatchPrefixBuilds) {
@@ -106,6 +115,7 @@ TEST(EpochGraphTest, SealedEpochsMatchBatchPrefixBuilds) {
     }
     ExpectSameGraph(*info.graph, TimeSeriesGraph::Build(prefix),
                     "epoch " + std::to_string(e + 1));
+    ExpectVerified(*info.graph, "epoch " + std::to_string(e + 1));
   }
 
   // Empty tail: sealing is a no-op that republishes the same snapshot.

@@ -56,8 +56,8 @@ TEST(MultiMatcherTest, BindingsMatchSingleMatcherExactly) {
   ASSERT_TRUE(multi.ok());
 
   std::map<size_t, std::set<MatchBinding>> shared;
-  multi->FindAll([&shared](size_t idx, const MatchBinding& binding) {
-    EXPECT_TRUE(shared[idx].insert(binding).second)
+  multi->FindAll([&shared](size_t idx, MatchRef binding) {
+    EXPECT_TRUE(shared[idx].insert(binding.ToBinding()).second)
         << "duplicate match for motif " << idx;
     return true;
   });
@@ -125,7 +125,7 @@ TEST(MultiMatcherTest, EarlyStopPropagates) {
       MultiStructuralMatcher::Create(g, MotifCatalog::All());
   ASSERT_TRUE(multi.ok());
   int seen = 0;
-  multi->FindAll([&seen](size_t, const MatchBinding&) {
+  multi->FindAll([&seen](size_t, MatchRef) {
     ++seen;
     return seen < 3;
   });

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "test_util.h"
@@ -13,6 +15,28 @@ namespace {
 
 using testing_util::MakeGraph;
 using testing_util::PaperFig2Graph;
+
+void ExpectVerified(const TimeSeriesGraph& g, const std::string& label) {
+  const Status status = g.Verify();
+  EXPECT_TRUE(status.ok()) << label << ": " << status;
+}
+
+/// A random multigraph with repeated pairs, duplicate timestamps and
+/// (t, f) elements, self-loops and isolated vertices.
+TimeSeriesGraph RandomGraph(uint64_t seed, int num_vertices, int num_edges) {
+  Rng rng(seed);
+  InteractionGraph g;
+  g.EnsureVertices(num_vertices + 3);  // a few isolated vertices
+  for (int i = 0; i < num_edges; ++i) {
+    const Status s = g.AddEdge(
+        static_cast<VertexId>(rng.NextBounded(num_vertices)),
+        static_cast<VertexId>(rng.NextBounded(num_vertices)),
+        static_cast<Timestamp>(rng.NextBounded(20)),
+        1.0 + static_cast<Flow>(rng.NextBounded(3)));
+    EXPECT_TRUE(s.ok()) << s;
+  }
+  return TimeSeriesGraph::Build(g);
+}
 
 TEST(TimeSeriesGraphTest, BuildMergesMultiEdgesIntoSeries) {
   // The paper's Fig. 5 example: two u1->u2 edges merge into one pair.
@@ -55,6 +79,58 @@ TEST(TimeSeriesGraphTest, OutAdjacencyRanges) {
   }
   EXPECT_EQ(dsts, (std::vector<VertexId>{0, 1, 2}));
   EXPECT_EQ(g.OutDegree(1), 1);  // u2 -> u3 only
+}
+
+TEST(TimeSeriesGraphTest, CsrArraysMirrorThePairList) {
+  // out_dst is pair(p).dst, in_src runs list every pair's source grouped
+  // by destination in ascending order, and FindPairIndex agrees with a
+  // linear scan for every vertex pair, connected or not.
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const TimeSeriesGraph g = RandomGraph(seed, 12, 60);
+    for (size_t p = 0; p < static_cast<size_t>(g.num_pairs()); ++p) {
+      EXPECT_EQ(g.PairDst(p), g.pair(p).dst);
+    }
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      std::vector<VertexId> expected;
+      for (const auto& pe : g.pairs()) {
+        if (pe.dst == v) expected.push_back(pe.src);
+      }
+      std::vector<VertexId> actual;
+      for (size_t k = g.InBegin(v); k < g.InEnd(v); ++k) {
+        actual.push_back(g.InSrc(k));
+      }
+      EXPECT_EQ(actual, expected) << "seed " << seed << " vertex " << v;
+      EXPECT_EQ(g.InDegree(v), static_cast<int64_t>(expected.size()));
+    }
+    for (VertexId u = -1; u <= g.num_vertices(); ++u) {
+      for (VertexId v = -1; v <= g.num_vertices(); ++v) {
+        int64_t expected = -1;
+        for (size_t p = 0; p < static_cast<size_t>(g.num_pairs()); ++p) {
+          if (g.pair(p).src == u && g.pair(p).dst == v) {
+            expected = static_cast<int64_t>(p);
+          }
+        }
+        EXPECT_EQ(g.FindPairIndex(u, v), expected) << u << "->" << v;
+      }
+    }
+  }
+}
+
+TEST(TimeSeriesGraphTest, VerifyHoldsAfterBuildPermuteAndDeepCopy) {
+  std::vector<std::pair<std::string, TimeSeriesGraph>> graphs;
+  graphs.emplace_back("default", TimeSeriesGraph());
+  graphs.emplace_back("empty build", TimeSeriesGraph::Build(InteractionGraph()));
+  graphs.emplace_back("paper fig2", PaperFig2Graph());
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    graphs.emplace_back("random " + std::to_string(seed),
+                        RandomGraph(seed, 10, 50));
+  }
+  for (const auto& [label, g] : graphs) {
+    ExpectVerified(g, label);
+    Rng rng(17);
+    ExpectVerified(g.WithPermutedFlows(&rng), label + " permuted");
+    ExpectVerified(g.DeepCopy(), label + " deep copy");
+  }
 }
 
 TEST(TimeSeriesGraphTest, FindPairIndexConsistentWithPairs) {
