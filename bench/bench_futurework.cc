@@ -2,9 +2,7 @@
 // library implements:
 //  1. counting instances without constructing them (InstanceCounter's
 //     memoized counting vs full enumeration);
-//  2. shared-prefix structural matching across a motif set
-//     (MultiStructuralMatcher vs ten independent P1 runs);
-//  3. general motifs beyond paths: a fan-out "smurfing distribution"
+//  2. general motifs beyond paths: a fan-out "smurfing distribution"
 //     query on the bitcoin-like network.
 #include <algorithm>
 #include <iostream>
@@ -13,8 +11,6 @@
 #include "core/counter.h"
 #include "core/enumerator.h"
 #include "core/motif_catalog.h"
-#include "core/multi_enumerator.h"
-#include "core/multi_matcher.h"
 #include "core/structural_match.h"
 #include "util/timer.h"
 
@@ -109,88 +105,11 @@ int main() {
               FormatCount(counted.memo_hits)});
   }
 
-  // --- 2. Shared-prefix P1 over the whole catalog. -------------------------
-  PrintHeader("Future work 2: shared-prefix P1 (all 10 motifs at once)");
-  PrintRow({"dataset", "10 runs", "shared", "speedup", "trie"});
-  for (const DatasetPreset& preset : AllPresets()) {
-    const TimeSeriesGraph& graph = BenchGraph(preset);
-
-    WallTimer individual_timer;
-    std::vector<int64_t> individual_counts;
-    for (const Motif& motif : MotifCatalog::All()) {
-      individual_counts.push_back(
-          StructuralMatcher(graph, motif).CountMatches());
-    }
-    const double individual_seconds = individual_timer.ElapsedSeconds();
-
-    StatusOr<MultiStructuralMatcher> multi =
-        MultiStructuralMatcher::Create(graph, MotifCatalog::All());
-    if (!multi.ok()) {
-      std::cout << "!! " << multi.status().ToString() << "\n";
-      return 1;
-    }
-    WallTimer shared_timer;
-    std::vector<int64_t> shared_counts = multi->CountAll();
-    const double shared_seconds = shared_timer.ElapsedSeconds();
-
-    if (shared_counts != individual_counts) {
-      std::cout << "!! shared-prefix matching changed counts\n";
-      return 1;
-    }
-    PrintRow({preset.name, FormatSeconds(individual_seconds),
-              FormatSeconds(shared_seconds),
-              FormatDouble(individual_seconds /
-                               std::max(1e-9, shared_seconds),
-                           2) + "x",
-              FormatCount(multi->num_trie_nodes())});
-  }
-
-  // --- 2b. Full catalog query: per-motif P1+P2 vs the combined
-  // MultiMotifEnumerator (shared P1 feeding per-motif P2). ------------------
-  PrintHeader("Future work 2b: full 10-motif query, separate vs combined");
-  PrintRow({"dataset", "separate", "combined", "speedup"});
-  for (const DatasetPreset& preset : AllPresets()) {
-    const TimeSeriesGraph& graph = BenchGraph(preset);
-    EnumerationOptions options;
-    options.delta = preset.default_delta;
-    options.phi = preset.default_phi;
-
-    WallTimer separate_timer;
-    std::vector<int64_t> separate_counts;
-    for (const Motif& motif : MotifCatalog::All()) {
-      separate_counts.push_back(
-          FlowMotifEnumerator(graph, motif, options).Run().num_instances);
-    }
-    const double separate_seconds = separate_timer.ElapsedSeconds();
-
-    StatusOr<MultiMotifEnumerator> multi =
-        MultiMotifEnumerator::Create(graph, MotifCatalog::All(), options);
-    if (!multi.ok()) {
-      std::cout << "!! " << multi.status().ToString() << "\n";
-      return 1;
-    }
-    WallTimer combined_timer;
-    std::vector<EnumerationResult> combined = multi->Run();
-    const double combined_seconds = combined_timer.ElapsedSeconds();
-
-    for (size_t i = 0; i < combined.size(); ++i) {
-      if (combined[i].num_instances != separate_counts[i]) {
-        std::cout << "!! combined query changed counts\n";
-        return 1;
-      }
-    }
-    PrintRow({preset.name, FormatSeconds(separate_seconds),
-              FormatSeconds(combined_seconds),
-              FormatDouble(separate_seconds /
-                               std::max(1e-9, combined_seconds),
-                           2) + "x"});
-  }
-
-  // --- 3. General motifs: smurfing fan-out on the bitcoin network. ---------
+  // --- 2. General motifs: smurfing fan-out on the bitcoin network. ---------
   {
     const DatasetPreset& preset = GetPreset(DatasetKind::kBitcoin);
     const TimeSeriesGraph& graph = BenchGraph(preset);
-    PrintHeader("Future work 3 (bitcoin): fan-out distribution motifs");
+    PrintHeader("Future work 2 (bitcoin): fan-out distribution motifs");
     PrintRow({"motif", "#matches", "#inst", "time"});
     for (const char* spec : {"0>1,0>2", "0>1,0>2,0>3", "0>1,1>2,1>3"}) {
       StatusOr<Motif> motif = Motif::Parse(spec);
@@ -212,7 +131,7 @@ int main() {
     }
   }
 
-  std::cout << "\nAll three Sec. 7 directions verified against the "
-               "reference implementations (identical results).\n";
+  std::cout << "\nBoth Sec. 7 directions verified against the reference "
+               "implementations (identical results).\n";
   return 0;
 }

@@ -24,12 +24,11 @@
 //  * BM_ServeTierAcrossSeals — appends touch one hot pair per seal, so
 //    the rest of the tier must stay warm: tier_hit_rate near 1 is the
 //    gated claim that epoch-stamped identity keys survive seals.
-//  * BM_ServeLongMixed_TierGenerational vs _TierSaturating — a mixed
-//    workload over a deliberately undersized tier (1024 entries per
-//    generation, under the workload's pair working set): the
-//    generational clock rotates and then retains the re-touched
-//    working set across two generations, where the saturating tier
-//    freezes on whatever filled it first and serves the rest cold.
+//  * BM_ServeLongMixed_TierGenerational — a mixed workload over a
+//    deliberately undersized tier (1024 entries per generation, under
+//    the workload's pair working set): the generational clock rotates
+//    and then retains the re-touched working set across two
+//    generations instead of freezing on whatever filled it first.
 //
 // The completed-result cache is off in every row that re-submits an
 // identical query — these rows measure the execution path, and a
@@ -203,7 +202,7 @@ BENCHMARK(BM_ServeMixedConcurrent)->UseRealTime();
 
 // ---------------------------------------------------------------------
 // Live serving: seal latency under load, tier warmth across seals, and
-// the generational-vs-saturating tier ablation. The log grows with
+// the generational tier on an undersized cap. The log grows with
 // every seal, so the seal rows rebuild the service every kRebuildEvery
 // iterations (untimed) to keep the measured graph size bounded.
 
@@ -290,14 +289,13 @@ BENCHMARK(BM_ServeTierAcrossSeals);
 
 // Long-lived mixed workload over a deliberately tiny tier: the
 // generational clock keeps admitting the working set's recent pairs
-// where a saturating tier freezes on whatever filled it first.
-void RunLongMixed(benchmark::State& state, bool generational) {
+// instead of freezing on whatever filled it first.
+void BM_ServeLongMixed_TierGenerational(benchmark::State& state) {
   ServiceConfig config;
   config.num_workers = 1;
   config.enable_dedup = false;
   config.enable_result_cache = false;
   config.tier_max_entries = 1024;
-  config.tier_generational = generational;
   QueryService service(ServingGraph(), config);
 
   struct Case {
@@ -330,16 +328,7 @@ void RunLongMixed(benchmark::State& state, bool generational) {
   state.counters["tier_rotations"] =
       static_cast<double>(service.Stats().tier_rotations);
 }
-
-void BM_ServeLongMixed_TierGenerational(benchmark::State& state) {
-  RunLongMixed(state, /*generational=*/true);
-}
 BENCHMARK(BM_ServeLongMixed_TierGenerational);
-
-void BM_ServeLongMixed_TierSaturating(benchmark::State& state) {
-  RunLongMixed(state, /*generational=*/false);
-}
-BENCHMARK(BM_ServeLongMixed_TierSaturating);
 
 }  // namespace
 }  // namespace flowmotif

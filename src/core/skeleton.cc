@@ -3,6 +3,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "core/skeleton_kernel.h"
@@ -418,6 +419,10 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
   Recorder::Finalize(this, edges);
   topology_identity_ = graph.topology_identity();
   recorded_ = true;
+#ifndef NDEBUG
+  const Status verified = Verify();
+  FLOWMOTIF_CHECK(verified.ok()) << verified;
+#endif
   return true;
 }
 
@@ -569,7 +574,52 @@ void EnumerationSkeleton::RecordSweepDescending(
     Recorder::Finalize(&sk, edges[d]);
     sk.topology_identity_ = graph.topology_identity();
     sk.recorded_ = true;
+#ifndef NDEBUG
+    const Status verified = sk.Verify();
+    FLOWMOTIF_CHECK(verified.ok()) << verified;
+#endif
   }
+}
+
+Status EnumerationSkeleton::Verify() const {
+  const auto fail = [](const std::string& what) {
+    return Status::Internal("EnumerationSkeleton: " + what);
+  };
+  const size_t edges = edge_lo_.size();
+  if (edge_hi_.size() != edges || edge_child_.size() != edges) {
+    return fail("edge arrays differ in length");
+  }
+  if (state_begin_.size() < 2 || state_begin_.front() != 0) {
+    return fail("state_begin does not start with the unit state at 0");
+  }
+  for (size_t s = 0; s + 1 < state_begin_.size(); ++s) {
+    if (state_begin_[s] > state_begin_[s + 1]) {
+      return fail("state_begin decreases at state " + std::to_string(s));
+    }
+  }
+  if (state_begin_.back() != edges) {
+    return fail("state_begin ends at " + std::to_string(state_begin_.back()) +
+                ", not at num_edges() = " + std::to_string(edges));
+  }
+  for (size_t s = 0; s < num_states(); ++s) {
+    for (uint32_t e = state_begin_[s]; e < state_begin_[s + 1]; ++e) {
+      if (edge_child_[e] >= s) {
+        return fail("edge " + std::to_string(e) + " of state " +
+                    std::to_string(s) + " leads to state " +
+                    std::to_string(edge_child_[e]) + ", not below it");
+      }
+      if (edge_lo_[e] > edge_hi_[e]) {
+        return fail("edge " + std::to_string(e) + " has edge_lo > edge_hi");
+      }
+    }
+  }
+  for (size_t r = 0; r < roots_.size(); ++r) {
+    if (roots_[r] >= num_states()) {
+      return fail("root " + std::to_string(r) + " is state " +
+                  std::to_string(roots_[r]) + ", out of range");
+    }
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "core/window_cursor.h"
 #include "graph/time_series_graph.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace flowmotif {
 
@@ -190,6 +191,16 @@ class EnumerationSkeleton {
       const MatchList& matches, const Options& options,
       std::vector<EnumerationSkeleton>* skeletons,
       QueryControl* control = nullptr);
+
+  /// Checks the trace's layout invariants: the three edge arrays have
+  /// equal length; state_begin_ starts at 0, is non-decreasing, and
+  /// ends at num_edges(); every edge's child state is below the state
+  /// owning the edge (post-order, so state 0 owns no edge); every root
+  /// is a state; and every edge has edge_lo <= edge_hi. OK or Internal
+  /// naming the first violation. An unrecorded skeleton is trivially
+  /// valid. Tests call it after every recording; debug builds CHECK it
+  /// after Record and RecordSweepDescending.
+  Status Verify() const;
 
   bool recorded() const { return recorded_; }
   size_t num_edges() const { return edge_lo_.size(); }

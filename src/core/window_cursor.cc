@@ -238,8 +238,10 @@ std::unique_ptr<SharedWindowCache> SharedWindowCache::MakeGenerational(
 SharedWindowCache::~SharedWindowCache() = default;
 
 void SharedWindowCache::set_fallback_tier(SharedWindowCache* tier) {
+  FLOWMOTIF_CHECK(tier == nullptr || tier->generational_)
+      << "a fallback tier must be generational (MakeGenerational)";
   tier_ = tier;
-  if (tier != nullptr && tier->generational_) {
+  if (tier != nullptr) {
     std::lock_guard<std::mutex> lock(tier_lease_mu_);
     tier_lease_ = tier->AcquireTierLease();
   }
@@ -339,16 +341,12 @@ const std::vector<Window>* SharedWindowCache::Get(const EdgeSeries& first,
   // Tier entries are as immutable and as long-lived as this query (the
   // lease pins a generational tier's generations), so the pointer is
   // returned directly and this cache stays empty for pairs the tier
-  // holds. A saturated non-generational tier returns null and we
-  // proceed with the private publish below.
+  // holds. A zero-capacity tier returns null and we proceed with the
+  // private publish below.
   if (tier_ != nullptr) {
-    const std::vector<Window>* from_tier = nullptr;
-    if (tier_->generational_) {
-      std::lock_guard<std::mutex> lock(tier_lease_mu_);
-      from_tier = tier_->LeasedGet(&tier_lease_, first, last, control);
-    } else {
-      from_tier = tier_->Get(first, last, control);
-    }
+    std::lock_guard<std::mutex> lock(tier_lease_mu_);
+    const std::vector<Window>* from_tier =
+        tier_->LeasedGet(&tier_lease_, first, last, control);
     if (from_tier != nullptr) return from_tier;
   }
 

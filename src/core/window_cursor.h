@@ -350,10 +350,11 @@ class SharedWindowCache {
   /// privately computed ones: both come out of ComputeProcessedWindows
   /// on the same timestamp storage, and tier entries are insert-only
   /// and identity-keyed exactly like ours. Call before handing the
-  /// cache to workers. A generational tier is read through a lease this
-  /// call acquires, so every pointer the tier serves this query stays
-  /// valid until this (per-query) cache is destroyed even if the tier
-  /// rotates or sweeps underneath.
+  /// cache to workers. The tier must be generational (MakeGenerational;
+  /// CHECKed) and is read through a lease this call acquires, so every
+  /// pointer the tier serves this query stays valid until this
+  /// (per-query) cache is destroyed even if the tier rotates or sweeps
+  /// underneath.
   void set_fallback_tier(SharedWindowCache* tier);
   bool has_fallback_tier() const { return tier_ != nullptr; }
 
@@ -412,8 +413,7 @@ class SharedWindowCache {
   std::shared_ptr<Generation> prev_;
   std::atomic<int64_t> rotations_{0};
 
-  /// This cache's lease on its own fallback tier (generational tiers
-  /// only). Guarded: a solo multithreaded run shares one per-query
+  /// This cache's lease on its own fallback tier. Guarded: a solo multithreaded run shares one per-query
   /// cache across workers; the serving layer runs queries
   /// single-threaded so the lock is uncontended there.
   std::mutex tier_lease_mu_;

@@ -57,6 +57,12 @@ Status ValidateQueryOptions(const QueryOptions& options) {
     return Status::InvalidArgument(
         "shared_cache_tier is bound to a different delta");
   }
+  if (options.shared_cache_tier != nullptr &&
+      !options.shared_cache_tier->generational()) {
+    return Status::InvalidArgument(
+        "shared_cache_tier must be generational "
+        "(SharedWindowCache::MakeGenerational)");
+  }
   return Status::OK();
 }
 
@@ -878,16 +884,15 @@ void QueryEngine::RunSignificance(const Motif& motif,
   sopts.seed = options.seed;
   sopts.delta = options.delta;
   sopts.phi = options.phi;
-  sopts.reuse_matches = true;
-  sopts.skeleton_replay = options.skeleton_replay;
+  if (!options.skeleton_replay) sopts.max_skeleton_edges = 0;
   sopts.pool = pool;
   sopts.control = control;
   // Unlike the other modes, the per-query window cache is owned by the
   // analyzer, not created here: the analyzer's cache is cross-graph
   // (keyed on timestamp-storage identity), so the window lists it
-  // builds serve the real graph and every flow-permutation view of the
-  // N+1-graph ensemble — one cache per Analyze, warm across the wave of
-  // permuted counts for any motif shape.
+  // builds serve the real graph and every permutation of the N+1-graph
+  // ensemble — one cache per Analyze, warm across every task for any
+  // motif shape.
   const SignificanceAnalyzer analyzer(graph_, sopts);
   result->significance = analyzer.Analyze(motif);
   result->stats.num_instances = result->significance.real_count;

@@ -62,15 +62,19 @@ struct QueryOptions {
   /// kSignificance and RunSweep: use record-once / replay-many
   /// enumeration skeletons (core/skeleton.h) where applicable. Counts
   /// and reports are identical either way (the equivalence tests lock
-  /// this in); disable to force per-graph / per-cell enumeration. Both
-  /// paths fall back on their own when recording is bypassed (trace
-  /// budget exceeded).
+  /// this in); disable to force the counting recursion on every graph
+  /// of the significance ensemble (the engine passes the analyzer a
+  /// zero trace budget, SignificanceAnalyzer::Options::
+  /// max_skeleton_edges) and per-cell counting in RunSweep. Both paths
+  /// fall back on their own when recording is bypassed (trace budget
+  /// exceeded).
   bool skeleton_replay = true;
 
   /// Cross-query window-cache tier (non-owning, may be null): a
-  /// long-lived SharedWindowCache — bound to the SAME delta as this
-  /// query — that the engine's per-query window caches fall through to
-  /// on a miss (core/window_cursor.h). Processed-window lists computed
+  /// long-lived generational SharedWindowCache (MakeGenerational) —
+  /// bound to the SAME delta as this query — that the engine's
+  /// per-query window caches fall through to on a miss
+  /// (core/window_cursor.h). Processed-window lists computed
   /// by one query are then reused by every later query at that delta
   /// over the same edge storage. Results stay byte-identical: the tier
   /// only changes where a list is found, never its contents. Owned by

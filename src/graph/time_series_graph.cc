@@ -1,6 +1,7 @@
 #include "graph/time_series_graph.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -206,19 +207,23 @@ TimeSeriesGraph::Stats TimeSeriesGraph::ComputeStats() const {
 
 TimeSeriesGraph TimeSeriesGraph::WithPermutedFlows(Rng* rng) const {
   FLOWMOTIF_CHECK(rng != nullptr);
-  // Collect every flow value in deterministic (pair, index) order, shuffle
-  // the multiset, and write it back in the same order. Structure and
-  // timestamps are untouched, exactly as in Sec. 6.3 — and since they are
-  // immutable shared storage, the view references them instead of copying:
-  // only the permuted flow arrays (and their prefix sums) are allocated.
+  // Collect every flow value in deterministic (pair, index) order and
+  // shuffle the multiset; WithFlows writes it back in the same order.
   std::vector<Flow> all_flows;
   for (const PairEdge& pe : pairs_) {
-    for (size_t i = 0; i < pe.series.size(); ++i) {
-      all_flows.push_back(pe.series.flow(i));
-    }
+    all_flows.insert(all_flows.end(), pe.series.flows().begin(),
+                     pe.series.flows().end());
   }
   rng->Shuffle(&all_flows);
+  return WithFlows(all_flows);
+}
 
+TimeSeriesGraph TimeSeriesGraph::WithFlows(
+    const std::vector<Flow>& pair_order_flows) const {
+  // Structure and timestamps are untouched, exactly as in Sec. 6.3 — and
+  // since they are immutable shared storage, the view references them
+  // instead of copying: only the flow arrays (and their prefix sums)
+  // are allocated.
   TimeSeriesGraph out;
   out.index_ = index_;  // shared topology, same identity
   out.topology_epoch_ = topology_epoch_;
@@ -226,14 +231,17 @@ TimeSeriesGraph TimeSeriesGraph::WithPermutedFlows(Rng* rng) const {
   out.pairs_.reserve(pairs_.size());
   size_t cursor = 0;
   for (const PairEdge& pe : pairs_) {
-    std::vector<Flow> new_flows(pe.series.size());
-    for (size_t i = 0; i < new_flows.size(); ++i) {
-      new_flows[i] = all_flows[cursor++];
-    }
-    out.pairs_.push_back(
-        PairEdge{pe.src, pe.dst, pe.series.WithFlows(std::move(new_flows))});
+    const size_t n = pe.series.size();
+    FLOWMOTIF_CHECK_LE(cursor + n, pair_order_flows.size());
+    const auto first = pair_order_flows.begin() +
+                       static_cast<std::ptrdiff_t>(cursor);
+    out.pairs_.push_back(PairEdge{
+        pe.src, pe.dst,
+        pe.series.WithFlows(std::vector<Flow>(
+            first, first + static_cast<std::ptrdiff_t>(n)))});
+    cursor += n;
   }
-  FLOWMOTIF_CHECK_EQ(cursor, all_flows.size());
+  FLOWMOTIF_CHECK_EQ(cursor, pair_order_flows.size());
   return out;
 }
 

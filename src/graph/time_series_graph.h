@@ -130,8 +130,17 @@ class TimeSeriesGraph {
   /// caches built on the real graph are warm for the view. The original
   /// graph is never modified. The RNG stream consumed is identical to
   /// the pre-view (deep-copying) implementation, so a seed reproduces
-  /// the same flows.
+  /// the same flows. Collects the flows in pair order, shuffles them,
+  /// and returns WithFlows of the shuffled vector.
   TimeSeriesGraph WithPermutedFlows(Rng* rng) const;
+
+  /// The flow view carrying `pair_order_flows` — one positive flow per
+  /// interaction, pair by pair in pairs() order, each pair's flows in
+  /// series order (the layout FlowPermutationStream draws) — over this
+  /// graph's shared structure and timestamps, with prefix sums rebuilt
+  /// per series. Like WithPermutedFlows, the view's series are checked
+  /// for time order only (Verify).
+  TimeSeriesGraph WithFlows(const std::vector<Flow>& pair_order_flows) const;
 
   /// Deep copy with freshly owned timestamp and topology storage: every
   /// series gets a new timestamp_identity(), so no timestamp-keyed cache
@@ -183,8 +192,8 @@ class TimeSeriesGraph {
   std::shared_ptr<const Index> index_;  // never null
   // Epoch at which index_ was created; part of topology_identity().
   EpochId topology_epoch_ = 0;
-  // Set by WithPermutedFlows: equal-time elements need not be in flow
-  // order (see Verify).
+  // Set by WithFlows: equal-time elements need not be in flow order
+  // (see Verify).
   bool flows_permuted_ = false;
 };
 

@@ -161,11 +161,8 @@ SharedWindowCache* QueryService::TierForDeltaLocked(Timestamp delta) {
     // The tier carries no query control of its own: budget charges ride
     // each Get call (the per-query control), since one tier serves many
     // concurrent queries.
-    slot = config_.tier_generational
-               ? SharedWindowCache::MakeGenerational(delta,
-                                                     config_.tier_max_entries)
-               : std::make_unique<SharedWindowCache>(
-                     delta, config_.tier_max_entries, /*cross_graph=*/false);
+    slot = SharedWindowCache::MakeGenerational(delta,
+                                               config_.tier_max_entries);
   }
   return slot.get();
 }

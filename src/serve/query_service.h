@@ -95,14 +95,13 @@ struct ServiceConfig {
   WorkBudget default_budget;
 
   /// Cross-query window-cache tier (one SharedWindowCache per delta,
-  /// created lazily, identity-keyed like every cache). Generational by
-  /// default: saturated inserts rotate generations instead of freezing
-  /// the tier on its first tier_max_entries pairs forever — the right
-  /// discipline for a long-lived service whose working set drifts
-  /// across seals. tier_max_entries is per generation when
-  /// generational (so up to 2x resident between rotations).
+  /// created lazily, identity-keyed like every cache). Generational:
+  /// saturated inserts rotate generations instead of freezing the tier
+  /// on its first tier_max_entries pairs forever — the right discipline
+  /// for a long-lived service whose working set drifts across seals.
+  /// tier_max_entries is per generation (so up to 2x resident between
+  /// rotations).
   bool enable_cache_tier = true;
-  bool tier_generational = true;
   size_t tier_max_entries = 8 * SharedWindowCache::kDefaultMaxEntries;
 
   /// In-flight dedup of identical submissions. Only requests whose

@@ -20,6 +20,7 @@
 
 #include "core/motif_catalog.h"
 #include "core/structural_match.h"
+#include "core/window_cursor.h"
 #include "engine/query_engine.h"
 #include "gen/presets.h"
 #include "stream/streaming_monitor.h"
@@ -734,6 +735,16 @@ TEST_F(FaultInjectionTest, InvalidOptionsRejectedWithoutCrash) {
   const QueryResult result2 = engine.Run(w.motif, negative);
   EXPECT_EQ(result2.termination.code, TerminationCode::kError);
   EXPECT_EQ(result2.termination.status.code(), StatusCode::kInvalidArgument);
+
+  // A cross-query tier must be generational.
+  SharedWindowCache saturating_tier(w.delta);
+  QueryOptions bad_tier;
+  bad_tier.mode = QueryMode::kCount;
+  bad_tier.delta = w.delta;
+  bad_tier.shared_cache_tier = &saturating_tier;
+  const QueryResult result3 = engine.Run(w.motif, bad_tier);
+  EXPECT_EQ(result3.termination.code, TerminationCode::kError);
+  EXPECT_EQ(result3.termination.status.code(), StatusCode::kInvalidArgument);
 
   // The same engine still answers a well-formed query.
   QueryOptions good;

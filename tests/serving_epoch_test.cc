@@ -358,44 +358,34 @@ TEST(ServingEpochTest, TierStaysWarmAcrossSealsForUntouchedSeries) {
 }
 
 TEST(ServingEpochTest, TinyGenerationalTierRotatesInsteadOfFreezing) {
-  // With a tier cap far below the working set, the saturating tier
-  // freezes on its first entries forever; the generational tier must
-  // rotate (counted) and keep serving byte-identical results.
+  // With a tier cap far below the working set, the generational tier
+  // must rotate (counted) instead of freezing on its first entries, and
+  // keep serving byte-identical results.
   constexpr Timestamp kDelta = 20;
   const Schedule schedule = MakeSchedule(3);
   const std::vector<Case> cases = MixedCases(kDelta);
 
-  for (const bool generational : {true, false}) {
-    ServiceConfig config;
-    config.num_workers = 1;
-    config.enable_dedup = false;
-    config.enable_result_cache = false;
-    config.tier_generational = generational;
-    config.tier_max_entries = 2;  // far below the pair working set
-    QueryService service(BuildSeedGraph(schedule), config);
-    for (const InteractionGraph::Edge& edge : schedule.epochs[0]) {
-      ASSERT_TRUE(service.Append(edge).ok());
-    }
-    const EpochLog::SealInfo info = service.SealEpoch();
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.enable_dedup = false;
+  config.enable_result_cache = false;
+  config.tier_max_entries = 2;  // far below the pair working set
+  QueryService service(BuildSeedGraph(schedule), config);
+  for (const InteractionGraph::Edge& edge : schedule.epochs[0]) {
+    ASSERT_TRUE(service.Append(edge).ok());
+  }
+  const EpochLog::SealInfo info = service.SealEpoch();
 
-    for (int round = 0; round < 3; ++round) {
-      for (const Case& c : cases) {
-        ServeRequest request{*MotifCatalog::ByName(c.motif_name), c.options};
-        const ServedResult served = service.Submit(std::move(request)).get();
-        ASSERT_TRUE(served.result->termination.complete());
-        ExpectSameResult(*served.result, SoloRun(*info.graph, c),
-                         std::string(generational ? "generational" :
-                                                    "saturating") +
-                             " round " + std::to_string(round));
-      }
-    }
-    const ServiceStats stats = service.Stats();
-    if (generational) {
-      EXPECT_GT(stats.tier_rotations, 0);
-    } else {
-      EXPECT_EQ(stats.tier_rotations, 0);
+  for (int round = 0; round < 3; ++round) {
+    for (const Case& c : cases) {
+      ServeRequest request{*MotifCatalog::ByName(c.motif_name), c.options};
+      const ServedResult served = service.Submit(std::move(request)).get();
+      ASSERT_TRUE(served.result->termination.complete());
+      ExpectSameResult(*served.result, SoloRun(*info.graph, c),
+                       "round " + std::to_string(round));
     }
   }
+  EXPECT_GT(service.Stats().tier_rotations, 0);
 }
 
 }  // namespace

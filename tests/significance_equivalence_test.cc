@@ -1,17 +1,22 @@
-// Byte-identical equivalence of the view-based significance path
-// (flow-permutation views sharing timestamp storage, one cross-graph
-// SharedWindowCache across the ensemble, one hoisted ensemble for
-// AnalyzeAll) against a retained pre-refactor reference: deep-copying
+// Byte-identical equivalence of the significance ensemble pass
+// (permutations drawn once from the seeded stream, one cross-graph
+// SharedWindowCache, skeleton replay or the counting recursion per
+// motif) against a retained pre-refactor reference: deep-copying
 // WithPermutedFlows (fresh timestamp/topology storage per randomized
 // graph) plus per-graph enumeration with no shared cache. Real counts,
 // random counts, z-scores, and p-values must match exactly across ~50
-// seeded random graphs, every catalog motif, reuse_matches on/off, and
-// engine pool sizes {1, 2, 4, 8}.
+// seeded random graphs, every catalog motif, a reference that runs P1
+// once or per graph, engine pool sizes {1, 2, 4, 8}, motif sets that
+// mix replayed and counted motifs, and stopped passes.
 #include "core/significance.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/enumerator.h"
@@ -20,6 +25,8 @@
 #include "graph/interaction_graph.h"
 #include "graph/time_series_graph.h"
 #include "test_util.h"
+#include "util/cancellation.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -66,9 +73,11 @@ TimeSeriesGraph ReferencePermutedCopy(const TimeSeriesGraph& graph,
   return out;
 }
 
+/// `reuse_matches` = the reference runs phase P1 once on the real graph
+/// and reuses the matches; otherwise every graph runs its own P1.
 SignificanceAnalyzer::MotifReport ReferenceAnalyze(
     const TimeSeriesGraph& graph, const Motif& motif,
-    const SignificanceAnalyzer::Options& options) {
+    const SignificanceAnalyzer::Options& options, bool reuse_matches = true) {
   SignificanceAnalyzer::MotifReport report;
   report.motif_name = motif.name();
 
@@ -77,7 +86,7 @@ SignificanceAnalyzer::MotifReport ReferenceAnalyze(
   enum_options.phi = options.phi;
 
   std::vector<MatchBinding> matches;
-  if (options.reuse_matches) {
+  if (reuse_matches) {
     const StructuralMatcher matcher(graph, motif);
     matches = matcher.FindAllMatches();
   }
@@ -85,8 +94,8 @@ SignificanceAnalyzer::MotifReport ReferenceAnalyze(
   Rng rng(options.seed);
   const auto count_on = [&](const TimeSeriesGraph& target) {
     FlowMotifEnumerator enumerator(target, motif, enum_options);
-    return options.reuse_matches ? enumerator.RunOnMatches(matches)
-                                 : enumerator.Run();
+    return reuse_matches ? enumerator.RunOnMatches(matches)
+                         : enumerator.Run();
   };
   report.real_count = count_on(graph).num_instances;
   for (int i = 0; i < options.num_random_graphs; ++i) {
@@ -149,9 +158,8 @@ SignificanceAnalyzer::Options BaseOptions(uint64_t seed) {
   return options;
 }
 
-// Every catalog motif on ~50 seeded random graphs, serial analyzer,
-// reuse_matches on: the view-based ensemble must reproduce the copying
-// reference bit for bit.
+// Every catalog motif on ~50 seeded random graphs, serial analyzer: the
+// ensemble pass must reproduce the copying reference bit for bit.
 TEST(SignificanceEquivalenceTest, CatalogMotifsOnSeededGraphs) {
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     const TimeSeriesGraph graph = RandomGraph(seed, 6, 60, 40);
@@ -166,9 +174,9 @@ TEST(SignificanceEquivalenceTest, CatalogMotifsOnSeededGraphs) {
   }
 }
 
-// reuse_matches {on, off} x engine pools {1, 2, 4, 8}: the parallel
-// path must equal the serial copying reference for interior and
-// non-interior motifs alike (the cross-graph cache serves both).
+// Reference P1 {once, per graph} x engine pools {1, 2, 4, 8}: the
+// parallel pass must equal the serial copying reference for interior
+// and non-interior motifs alike (the cross-graph cache serves both).
 TEST(SignificanceEquivalenceTest, ThreadAndReuseSweep) {
   const std::vector<Motif> motifs = {*MotifCatalog::ByName("M(3,3)"),
                                      *MotifCatalog::ByName("M(4,3)"),
@@ -178,10 +186,9 @@ TEST(SignificanceEquivalenceTest, ThreadAndReuseSweep) {
     const TimeSeriesGraph graph = RandomGraph(seed, 6, 70, 30);
     for (const bool reuse : {true, false}) {
       SignificanceAnalyzer::Options options = BaseOptions(seed);
-      options.reuse_matches = reuse;
       for (const Motif& motif : motifs) {
         const SignificanceAnalyzer::MotifReport expected =
-            ReferenceAnalyze(graph, motif, options);
+            ReferenceAnalyze(graph, motif, options, reuse);
         for (const int threads : {1, 2, 4, 8}) {
           ThreadPool pool(threads);
           options.pool = &pool;
@@ -225,10 +232,10 @@ TEST(SignificanceEquivalenceTest, AnalyzeAllMatchesPerMotifAnalyze) {
   }
 }
 
-// The three execution paths — skeleton replay (default), replay
-// disabled, and replay requested but bypassed by a tiny trace budget —
-// must all equal the copying reference, and the report must say which
-// path ran.
+// The three ways a motif is counted — skeleton replay (default), no
+// recording (zero trace budget), and recording bypassed by a tiny trace
+// budget — must all equal the copying reference, and the report must
+// say which route ran.
 TEST(SignificanceEquivalenceTest, ReplayOffAndForcedBypassMatchReference) {
   for (const uint64_t seed : {7u, 19u}) {
     const TimeSeriesGraph graph = RandomGraph(seed, 6, 70, 35);
@@ -246,7 +253,7 @@ TEST(SignificanceEquivalenceTest, ReplayOffAndForcedBypassMatchReference) {
     EXPECT_GT(on_report.skeleton_edges, 0);
 
     SignificanceAnalyzer::Options replay_off = base;
-    replay_off.skeleton_replay = false;
+    replay_off.max_skeleton_edges = 0;
     const SignificanceAnalyzer without_replay(graph, replay_off);
     const SignificanceAnalyzer::MotifReport off_report =
         without_replay.Analyze(motif);
@@ -256,7 +263,7 @@ TEST(SignificanceEquivalenceTest, ReplayOffAndForcedBypassMatchReference) {
 
     // Budget bypass: recording consults no RNG, so falling back after a
     // bypassed recording must leave the seeded stream — and the report —
-    // exactly as skeleton_replay=false produces.
+    // exactly as a zero trace budget produces.
     SignificanceAnalyzer::Options bypass = base;
     bypass.max_skeleton_edges = 1;
     const SignificanceAnalyzer bypassed(graph, bypass);
@@ -265,12 +272,146 @@ TEST(SignificanceEquivalenceTest, ReplayOffAndForcedBypassMatchReference) {
     ExpectReportsEqual(expected, bypass_report, "budget bypass");
     EXPECT_FALSE(bypass_report.used_skeleton_replay);
 
-    // AnalyzeAll under a bypass budget takes its fallback lazily; the
-    // reports must be unchanged.
+    // AnalyzeAll under a bypass budget counts the motif by the
+    // recursion; the report must be unchanged.
     const std::vector<SignificanceAnalyzer::MotifReport> all =
         bypassed.AnalyzeAll({motif});
     ASSERT_EQ(all.size(), 1u);
     ExpectReportsEqual(expected, all[0], "AnalyzeAll budget bypass");
+  }
+}
+
+// Motifs whose trace sizes straddle the budget: one is replayed, the
+// other is counted by the recursion on every graph, both from the same
+// permutation draws. Each report must equal the reference and say which
+// route ran, in both set orders and for any pool.
+TEST(SignificanceEquivalenceTest, AnalyzeAllMixesReplayedAndCountedMotifs) {
+  const TimeSeriesGraph graph = RandomGraph(29, 6, 90, 40);
+  const SignificanceAnalyzer::Options base = BaseOptions(29);
+  Motif small = *MotifCatalog::ByName("M(3,2)");
+  Motif large = *MotifCatalog::ByName("M(4,3)");
+
+  // Trace sizes at the default budget; the mixed budget admits exactly
+  // the smaller trace.
+  const SignificanceAnalyzer unbounded(graph, base);
+  std::vector<SignificanceAnalyzer::MotifReport> full =
+      unbounded.AnalyzeAll({small, large});
+  ASSERT_TRUE(full[0].used_skeleton_replay);
+  ASSERT_TRUE(full[1].used_skeleton_replay);
+  ASSERT_NE(full[0].skeleton_edges, full[1].skeleton_edges);
+  if (full[0].skeleton_edges > full[1].skeleton_edges) {
+    std::swap(small, large);
+    std::swap(full[0], full[1]);
+  }
+  ASSERT_GT(full[0].skeleton_edges, 0);
+
+  SignificanceAnalyzer::Options mixed = base;
+  mixed.max_skeleton_edges = static_cast<size_t>(full[0].skeleton_edges);
+  const SignificanceAnalyzer::MotifReport expected_small =
+      ReferenceAnalyze(graph, small, base);
+  const SignificanceAnalyzer::MotifReport expected_large =
+      ReferenceAnalyze(graph, large, base);
+  for (const int threads : {0, 4}) {
+    ThreadPool pool(std::max(1, threads));
+    mixed.pool = threads > 0 ? &pool : nullptr;
+    const SignificanceAnalyzer analyzer(graph, mixed);
+    const std::string context = "threads=" + std::to_string(threads);
+
+    const std::vector<SignificanceAnalyzer::MotifReport> forward =
+        analyzer.AnalyzeAll({small, large});
+    ASSERT_EQ(forward.size(), 2u);
+    ExpectReportsEqual(expected_small, forward[0], context + " small");
+    ExpectReportsEqual(expected_large, forward[1], context + " large");
+    EXPECT_TRUE(forward[0].used_skeleton_replay) << context;
+    EXPECT_EQ(forward[0].skeleton_edges, full[0].skeleton_edges) << context;
+    EXPECT_FALSE(forward[1].used_skeleton_replay) << context;
+    EXPECT_EQ(forward[1].skeleton_edges, 0) << context;
+
+    const std::vector<SignificanceAnalyzer::MotifReport> backward =
+        analyzer.AnalyzeAll({large, small});
+    ASSERT_EQ(backward.size(), 2u);
+    ExpectReportsEqual(expected_large, backward[0], context + " reversed");
+    ExpectReportsEqual(expected_small, backward[1], context + " reversed");
+    EXPECT_FALSE(backward[0].used_skeleton_replay) << context;
+    EXPECT_TRUE(backward[1].used_skeleton_replay) << context;
+  }
+}
+
+// A pass stopped at "sig.task" gives every motif of the set the same
+// contiguous task prefix, equal to a clean pass over that many graphs.
+// Serially the prefix is exactly the k tasks let through; with a pool
+// it is whatever contiguous prefix the wave completed.
+TEST(SignificanceEquivalenceTest, StoppedAnalyzeAllCoversOneTaskPrefix) {
+  if (!failpoint::kFailpointsCompiledIn) GTEST_SKIP();
+  const TimeSeriesGraph graph = RandomGraph(41, 6, 90, 40);
+  SignificanceAnalyzer::Options base = BaseOptions(41);
+  base.num_random_graphs = 6;
+  const std::vector<Motif> motifs = {*MotifCatalog::ByName("M(3,2)"),
+                                     *MotifCatalog::ByName("M(4,3)"),
+                                     *MotifCatalog::ByName("M(4,4)C")};
+  // The second budget admits only the smallest trace of the set, so it
+  // mixes replayed and counted motifs.
+  int64_t smallest_trace = std::numeric_limits<int64_t>::max();
+  for (const SignificanceAnalyzer::MotifReport& report :
+       SignificanceAnalyzer(graph, base).AnalyzeAll(motifs)) {
+    smallest_trace = std::min(smallest_trace, report.skeleton_edges);
+  }
+  for (const size_t budget : {EnumerationSkeleton::kDefaultMaxEdges,
+                              static_cast<size_t>(smallest_trace)}) {
+    for (const int threads : {0, 4}) {
+      constexpr int64_t kTasksLetThrough = 3;
+      ThreadPool pool(std::max(1, threads));
+      QueryControl control(nullptr, QueryDeadline(), WorkBudget());
+      SignificanceAnalyzer::Options options = base;
+      options.max_skeleton_edges = budget;
+      options.pool = threads > 0 ? &pool : nullptr;
+      options.control = &control;
+      failpoint::Config config;
+      config.action = failpoint::Action::kCancel;
+      config.hits_before_trigger = kTasksLetThrough;
+      failpoint::Arm(failpoint::kSigTask, config);
+      const std::vector<SignificanceAnalyzer::MotifReport> stopped =
+          SignificanceAnalyzer(graph, options).AnalyzeAll(motifs);
+      failpoint::DisarmAll();
+
+      const std::string context = "budget=" + std::to_string(budget) +
+                                  " threads=" + std::to_string(threads);
+      ASSERT_EQ(stopped.size(), motifs.size());
+      if (budget != EnumerationSkeleton::kDefaultMaxEdges) {
+        EXPECT_TRUE(stopped[0].used_skeleton_replay ||
+                    stopped[1].used_skeleton_replay ||
+                    stopped[2].used_skeleton_replay) << context;
+        EXPECT_FALSE(stopped[0].used_skeleton_replay &&
+                     stopped[1].used_skeleton_replay &&
+                     stopped[2].used_skeleton_replay) << context;
+      }
+      const int64_t prefix = stopped[0].graphs_completed;
+      if (threads == 0) {
+        EXPECT_EQ(prefix, kTasksLetThrough) << context;
+      } else {
+        EXPECT_LE(prefix, kTasksLetThrough) << context;
+      }
+      SignificanceAnalyzer::Options clean = base;
+      clean.max_skeleton_edges = budget;
+      clean.num_random_graphs = static_cast<int>(prefix) - 1;
+      for (size_t m = 0; m < motifs.size(); ++m) {
+        const std::string where = context + " " + motifs[m].name();
+        EXPECT_EQ(stopped[m].graphs_completed, prefix) << where;
+        EXPECT_EQ(stopped[m].termination.code, TerminationCode::kCancelled)
+            << where;
+        EXPECT_EQ(stopped[m].termination.stopped_at, failpoint::kSigTask)
+            << where;
+        EXPECT_EQ(stopped[m].termination.work_completed, prefix) << where;
+        ASSERT_EQ(stopped[m].random_counts.size(),
+                  static_cast<size_t>(std::max<int64_t>(0, prefix - 1)))
+            << where;
+        if (clean.num_random_graphs > 0) {
+          ExpectReportsEqual(
+              SignificanceAnalyzer(graph, clean).Analyze(motifs[m]),
+              stopped[m], where);
+        }
+      }
+    }
   }
 }
 

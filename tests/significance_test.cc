@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/enumerator.h"
 #include "core/motif.h"
 #include "core/motif_catalog.h"
 #include "gen/presets.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace flowmotif {
 namespace {
@@ -43,8 +45,9 @@ TEST(SignificanceTest, DeterministicGivenSeed) {
 }
 
 TEST(SignificanceTest, MatchReuseDoesNotChangeCounts) {
-  // Structural matches are flow-independent, so reusing them must give
-  // identical counts to recomputing P1 on each permuted graph.
+  // Structural matches are flow-independent, so the analyzer's matches,
+  // computed once on the real graph, must give identical counts to
+  // recomputing P1 on each permuted graph.
   TimeSeriesGraph g = GenerateDataset(GetPreset(DatasetKind::kPassenger),
                                       /*scale=*/0.1);
   SignificanceAnalyzer::Options options;
@@ -52,16 +55,21 @@ TEST(SignificanceTest, MatchReuseDoesNotChangeCounts) {
   options.seed = 11;
   options.delta = 900;
   options.phi = 2.0;
+  SignificanceAnalyzer analyzer(g, options);
+  SignificanceAnalyzer::MotifReport report = analyzer.Analyze(M33());
 
-  options.reuse_matches = true;
-  SignificanceAnalyzer with_reuse(g, options);
-  options.reuse_matches = false;
-  SignificanceAnalyzer without_reuse(g, options);
-
-  SignificanceAnalyzer::MotifReport a = with_reuse.Analyze(M33());
-  SignificanceAnalyzer::MotifReport b = without_reuse.Analyze(M33());
-  EXPECT_EQ(a.real_count, b.real_count);
-  EXPECT_EQ(a.random_counts, b.random_counts);
+  EnumerationOptions enum_options;
+  enum_options.delta = options.delta;
+  enum_options.phi = options.phi;
+  const FlowMotifEnumerator real(g, M33(), enum_options);
+  EXPECT_EQ(report.real_count, real.Run().num_instances);
+  Rng rng(options.seed);
+  ASSERT_EQ(report.random_counts.size(), 3u);
+  for (const double count : report.random_counts) {
+    const TimeSeriesGraph permuted = g.WithPermutedFlows(&rng);
+    const FlowMotifEnumerator recomputed(permuted, M33(), enum_options);
+    EXPECT_EQ(count, static_cast<double>(recomputed.Run().num_instances));
+  }
 }
 
 TEST(SignificanceTest, RealExceedsRandomOnCascadeData) {

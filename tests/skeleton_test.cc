@@ -9,12 +9,16 @@
 //    over the same timestamps, so replaying permuted arenas equals
 //    enumerating the corresponding WithPermutedFlows views;
 //  * FlowPermutationStream consumes the RNG stream exactly as
-//    WithPermutedFlows does — permutation i carries view i's flows;
+//    WithPermutedFlows does — permutation i carries view i's flows, and
+//    WithFlows of it is view i bit for bit;
+//  * every recording (Record and RecordSweepDescending) passes
+//    EnumerationSkeleton::Verify;
 //  * the trace budget turns recording into a clean bypass (false, no
 //    skeleton), and arenas are gated on topology identity.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/enumerator.h"
@@ -85,6 +89,7 @@ TEST(SkeletonTest, ReplayMatchesEnumeratorOnPaperGraphs) {
         EnumerationSkeleton skeleton;
         ASSERT_TRUE(
             skeleton.Record(graph, motif, delta, matches, &cache));
+        ASSERT_TRUE(skeleton.Verify().ok()) << skeleton.Verify();
         FlowPrefixArena arena;
         arena.FillFromGraph(graph);
         SkeletonReplayer replayer(&skeleton);
@@ -109,6 +114,7 @@ TEST(SkeletonTest, ReplayMatchesEnumeratorOnSeededRandomGraphs) {
         EnumerationSkeleton skeleton;
         ASSERT_TRUE(
             skeleton.Record(graph, motif, delta, matches, &cache));
+        ASSERT_TRUE(skeleton.Verify().ok()) << skeleton.Verify();
         FlowPrefixArena arena;
         arena.FillFromGraph(graph);
         SkeletonReplayer replayer(&skeleton);
@@ -133,6 +139,7 @@ TEST(SkeletonTest, PhiSweepOnOneRecordingMatchesPerPhiEnumeration) {
   SharedWindowCache cache(delta);
   EnumerationSkeleton skeleton;
   ASSERT_TRUE(skeleton.Record(graph, motif, delta, matches, &cache));
+  ASSERT_TRUE(skeleton.Verify().ok()) << skeleton.Verify();
   FlowPrefixArena arena;
   arena.FillFromGraph(graph);
   SkeletonReplayer replayer(&skeleton);
@@ -162,6 +169,68 @@ TEST(SkeletonTest, PermutationStreamMatchesWithPermutedFlows) {
   }
 }
 
+TEST(SkeletonTest, WithFlowsOfStreamDrawEqualsPermutedView) {
+  // Draw i of the stream, turned into a graph by WithFlows, is the same
+  // graph as WithPermutedFlows view i: flows and prefix sums bit for
+  // bit, over the same shared timestamps and topology.
+  for (const uint64_t seed : {5u, 61u}) {
+    const TimeSeriesGraph graph = RandomGraph(seed * 7 + 3, 7, 120, 70);
+    FlowPermutationStream stream(graph, seed);
+    Rng rng(seed);
+    std::vector<Flow> flows;
+    for (int draw = 0; draw < 4; ++draw) {
+      stream.NextPermutationInto(&flows);
+      const TimeSeriesGraph drawn = graph.WithFlows(flows);
+      const TimeSeriesGraph view = graph.WithPermutedFlows(&rng);
+      ASSERT_TRUE(drawn.Verify().ok()) << drawn.Verify();
+      EXPECT_EQ(drawn.topology_identity(), graph.topology_identity());
+      ASSERT_EQ(drawn.num_pairs(), view.num_pairs());
+      for (size_t p = 0; p < static_cast<size_t>(view.num_pairs()); ++p) {
+        const EdgeSeries& a = drawn.pair(p).series;
+        const EdgeSeries& b = view.pair(p).series;
+        EXPECT_EQ(a.timestamp_identity(),
+                  graph.pair(p).series.timestamp_identity());
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(0, std::memcmp(a.flows().data(), b.flows().data(),
+                                 a.size() * sizeof(Flow)))
+            << "seed=" << seed << " draw=" << draw << " pair=" << p;
+        EXPECT_EQ(0, std::memcmp(a.prefix_sums().data(),
+                                 b.prefix_sums().data(),
+                                 (a.size() + 1) * sizeof(double)))
+            << "seed=" << seed << " draw=" << draw << " pair=" << p;
+      }
+    }
+  }
+}
+
+TEST(SkeletonTest, SweepRecordingVerifiesAndMatchesPerDeltaEnumeration) {
+  const TimeSeriesGraph graph = RandomGraph(53, 6, 110, 60);
+  for (const char* name : {"M(3,2)", "M(4,3)", "M(5,4)"}) {
+    const Motif motif = *MotifCatalog::ByName(name);
+    const StructuralMatcher matcher(graph, motif);
+    const std::vector<MatchBinding> matches = matcher.FindAllMatches();
+    const std::vector<Timestamp> deltas = {16, 9, 4, 0};
+    std::vector<EnumerationSkeleton> skeletons;
+    EnumerationSkeleton::RecordSweepDescending(
+        graph, motif, deltas,
+        MatchList(static_cast<size_t>(motif.num_nodes()), matches),
+        EnumerationSkeleton::Options(), &skeletons);
+    ASSERT_EQ(skeletons.size(), deltas.size());
+    FlowPrefixArena arena;
+    arena.FillFromGraph(graph);
+    for (size_t d = 0; d < deltas.size(); ++d) {
+      ASSERT_TRUE(skeletons[d].recorded()) << name << " delta=" << deltas[d];
+      ASSERT_TRUE(skeletons[d].Verify().ok()) << skeletons[d].Verify();
+      SkeletonReplayer replayer(&skeletons[d]);
+      for (const Flow phi : {0.0, 3.0, 7.0}) {
+        EXPECT_EQ(replayer.Count(arena, phi),
+                  OracleCount(graph, motif, matches, deltas[d], phi))
+            << name << " delta=" << deltas[d] << " phi=" << phi;
+      }
+    }
+  }
+}
+
 TEST(SkeletonTest, ReplayOnPermutedArenasMatchesEnumerationOnViews) {
   const TimeSeriesGraph graph = RandomGraph(23, 6, 100, 55);
   const Motif motif = *MotifCatalog::ByName("M(3,3)");
@@ -173,6 +242,7 @@ TEST(SkeletonTest, ReplayOnPermutedArenasMatchesEnumerationOnViews) {
   SharedWindowCache cache(delta);
   EnumerationSkeleton skeleton;
   ASSERT_TRUE(skeleton.Record(graph, motif, delta, matches, &cache));
+  ASSERT_TRUE(skeleton.Verify().ok()) << skeleton.Verify();
   SkeletonReplayer replayer(&skeleton);
   FlowPrefixArena arena;
 
@@ -203,9 +273,11 @@ TEST(SkeletonTest, TraceBudgetBypassesRecordingCleanly) {
   EXPECT_FALSE(skeleton.Record(graph, motif, 20, matches, nullptr, tiny));
   EXPECT_FALSE(skeleton.recorded());
   EXPECT_EQ(skeleton.num_edges(), 0u);
+  EXPECT_TRUE(skeleton.Verify().ok()) << skeleton.Verify();
 
   // The same object records fine once the budget allows it.
   ASSERT_TRUE(skeleton.Record(graph, motif, 20, matches, nullptr));
+  ASSERT_TRUE(skeleton.Verify().ok()) << skeleton.Verify();
   EXPECT_TRUE(skeleton.recorded());
   EXPECT_GT(skeleton.num_edges(), 0u);
   FlowPrefixArena arena;
@@ -224,6 +296,7 @@ TEST(SkeletonTest, ArenaAndReplayGateOnTopologyIdentity) {
 
   EnumerationSkeleton skeleton;
   ASSERT_TRUE(skeleton.Record(graph, motif, 8, matches, nullptr));
+  ASSERT_TRUE(skeleton.Verify().ok()) << skeleton.Verify();
   EXPECT_EQ(skeleton.topology_identity(), graph.topology_identity());
 
   // An arena filled from a different topology identity must not be
@@ -243,6 +316,7 @@ TEST(SkeletonTest, EmptyMatchListRecordsAndCountsZero) {
   const Motif motif = *MotifCatalog::ByName("M(3,3)");
   EnumerationSkeleton skeleton;
   ASSERT_TRUE(skeleton.Record(graph, motif, 10, {}, nullptr));
+  ASSERT_TRUE(skeleton.Verify().ok()) << skeleton.Verify();
   EXPECT_EQ(skeleton.num_roots(), 0u);
   FlowPrefixArena arena;
   arena.FillFromGraph(graph);
