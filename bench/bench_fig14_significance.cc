@@ -8,15 +8,14 @@
 //
 // Presets:
 //  * hub_fanin — K sparse 3-edge chains a_i > b_i > c_i > D feeding one
-//    ultra-dense hub edge D > E; motif M(5,4) (node 2 interior, so the
-//    window cache is live). Every match's (first, last) pair is distinct
+//    ultra-dense hub edge D > E; motif M(5,4) (node 2 interior). Every
+//    match's (first, last) pair is distinct
 //    and its window list costs O(|R(D,E)|) to compute, so the per-
 //    permutation window work is the dominant ensemble cost — the shape
 //    (many sparse paths ending in one high-traffic edge) mirrors
 //    exchange hubs in the bitcoin network. This is the preset the
 //    ISSUE-5 >=1.5x target and the CI regression threshold track.
-//  * hub_chain — same graph, M(4,3): no interior node, the shape that
-//    historically had no window cache at all.
+//  * hub_chain — same graph, M(4,3): no interior node.
 //  * ring_chain — dense directed ring, M(4,3): recursion-dominated
 //    counter-preset where window lists are a small fraction; guards
 //    against the ensemble machinery taxing sweep-bound workloads.

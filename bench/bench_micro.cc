@@ -119,11 +119,12 @@ void BM_Phase2PerMatch(benchmark::State& state) {
   options.delta = 900;
   options.phi = 2.0;
   FlowMotifEnumerator enumerator(graph, motif, options);
+  WindowListMru reader(options.delta);
   size_t cursor = 0;
   for (auto _ : state) {
     EnumerationResult result;
     enumerator.EnumerateMatch(matches[cursor % matches.size()], nullptr,
-                              &result);
+                              &result, &reader);
     benchmark::DoNotOptimize(result.num_instances);
     ++cursor;
   }
@@ -181,10 +182,10 @@ void RunCountMatchLoop(benchmark::State& state, QueryControl* control) {
   const MatchList& matches = MicroMatches();
   for (auto _ : state) {
     InstanceCounter::Result result;
-    WindowListMru mru;
+    WindowListMru reader(900);
     for (size_t i = 0; i < matches.size(); ++i) {
       if (control != nullptr && control->CheckAt(failpoint::kP2Batch)) break;
-      counter.CountMatch(matches[i], &result, &mru);
+      counter.CountMatch(matches[i], &result, &reader);
     }
     benchmark::DoNotOptimize(result.num_instances);
   }

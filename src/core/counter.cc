@@ -81,24 +81,21 @@ struct WindowCounter {
 
 InstanceCounter::InstanceCounter(const TimeSeriesGraph& graph,
                                  const Motif& motif, Timestamp delta,
-                                 Flow phi, SharedWindowCache* window_cache)
+                                 Flow phi)
     : graph_(graph), motif_(motif), delta_(delta), phi_(phi) {
   FLOWMOTIF_CHECK_GE(delta, 0);
   FLOWMOTIF_CHECK_GE(phi, 0.0);
-  cache_ = ResolveWindowCache(window_cache, motif, delta, &owned_cache_);
 }
 
 int64_t InstanceCounter::CountMatch(MatchRef binding, Result* result,
-                                    WindowListMru* window_mru) const {
+                                    WindowListMru* reader) const {
+  FLOWMOTIF_CHECK_EQ(reader->delta(), delta_);
   const int m = motif_.num_edges();
   std::vector<const EdgeSeries*> series;
   ResolveMatchSeries(graph_, motif_, binding, &series);
 
-  WindowListMru local_mru;
   const std::vector<Window>& windows =
-      (window_mru != nullptr ? window_mru : &local_mru)
-          ->GetOrCompute(cache_, *series.front(), *series.back(), delta_,
-                         query_control_);
+      reader->Get(*series.front(), *series.back());
   if (result != nullptr) {
     result->num_windows += static_cast<int64_t>(windows.size());
   }
@@ -127,20 +124,20 @@ int64_t InstanceCounter::CountMatch(MatchRef binding, Result* result,
 InstanceCounter::Result InstanceCounter::RunOnMatches(
     const std::vector<MatchBinding>& matches) const {
   Result result;
-  WindowListMru window_mru;
+  WindowListMru windows(delta_);
   for (const MatchBinding& binding : matches) {
     ++result.num_structural_matches;
-    result.num_instances += CountMatch(binding, &result, &window_mru);
+    result.num_instances += CountMatch(binding, &result, &windows);
   }
   return result;
 }
 
 InstanceCounter::Result InstanceCounter::Run() const {
   Result result;
-  WindowListMru window_mru;
+  WindowListMru windows(delta_);
   StructuralMatcher(graph_, motif_).FindAll([&](MatchRef binding) {
     ++result.num_structural_matches;
-    result.num_instances += CountMatch(binding, &result, &window_mru);
+    result.num_instances += CountMatch(binding, &result, &windows);
     return true;
   });
   return result;

@@ -2,7 +2,6 @@
 #define FLOWMOTIF_CORE_COUNTER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/motif.h"
@@ -31,9 +30,8 @@ namespace flowmotif {
 /// multiplicative tree into a linear pass per window.
 ///
 /// The per-window machinery rides the shared core/window_cursor layer:
-/// window lists come from a SharedWindowCache (injected per query by
-/// the engine, or privately owned when the motif's (first, last) series
-/// pairs can repeat), the per-level window bounds slide on a
+/// window lists come from the caller's WindowListMru reader, the
+/// per-level window bounds slide on a
 /// WindowCursorSet instead of one UpperBound per recursion call, and
 /// the recursion's per-element next-edge searches are monotone
 /// galloping advances.
@@ -46,16 +44,14 @@ class InstanceCounter {
     int64_t memo_hits = 0;  // branches answered from the memo
   };
 
-  /// `window_cache` (optional) is the per-query shared cache; it must
-  /// outlive the counter and be bound to the same delta. It is read
-  /// only when the motif has an interior node — the only shape where a
-  /// (first, last) pair can repeat.
+  /// The counter holds no window-list state: CountMatch reads through
+  /// the caller's reader (one per worker, optionally backed by a
+  /// cross-query tier), and Run / RunOnMatches use one tier-less reader
+  /// per call.
   InstanceCounter(const TimeSeriesGraph& graph, const Motif& motif,
-                  Timestamp delta, Flow phi,
-                  SharedWindowCache* window_cache = nullptr);
+                  Timestamp delta, Flow phi);
   // The counter keeps a reference to the graph: temporaries would dangle.
-  InstanceCounter(TimeSeriesGraph&&, const Motif&, Timestamp, Flow,
-                  SharedWindowCache* = nullptr) = delete;
+  InstanceCounter(TimeSeriesGraph&&, const Motif&, Timestamp, Flow) = delete;
 
   /// Counts over the whole graph (phase P1 + counting per match).
   Result Run() const;
@@ -63,32 +59,19 @@ class InstanceCounter {
   /// Counts over precomputed structural matches.
   Result RunOnMatches(const std::vector<MatchBinding>& matches) const;
 
-  /// Counts within a single structural match. `window_mru` (optional)
-  /// is a caller-owned one-entry window-list fallback: callers looping
-  /// over serial-order matches (RunOnMatches, the engine's batch runs)
-  /// pass one so consecutive matches sharing a (first, last) pair reuse
-  /// the computed list even when the shared cache declines the pair.
+  /// Counts within a single structural match, reading its window list
+  /// through `reader` — the calling worker's reader, bound to this
+  /// counter's delta (and billing its query control). Callers loop over
+  /// serial-order matches with one reader, so consecutive matches
+  /// sharing a (first, last) pair hit its slot.
   int64_t CountMatch(MatchRef binding, Result* result,
-                     WindowListMru* window_mru = nullptr) const;
-
-  /// Attaches the owning query's lifecycle control (non-owning, may be
-  /// null): every window list CountMatch materializes — through the
-  /// cache or recomputed into the MRU — is billed against its
-  /// WorkBudget at site "cache.windows". QueryControl is internally
-  /// synchronized, so one counter shared across workers charges safely.
-  /// Set before sharing the counter; must outlive every CountMatch.
-  void set_query_control(QueryControl* control) { query_control_ = control; }
+                     WindowListMru* reader) const;
 
  private:
   const TimeSeriesGraph& graph_;
   const Motif motif_;
   Timestamp delta_;
   Flow phi_;
-  // Privately owned cache when none is injected and the motif has an
-  // interior node (the only shape where a pair repeats).
-  std::unique_ptr<SharedWindowCache> owned_cache_;
-  SharedWindowCache* cache_;  // null = compute windows per match
-  QueryControl* query_control_ = nullptr;  // budget charging; may be null
 };
 
 }  // namespace flowmotif

@@ -12,23 +12,23 @@ namespace flowmotif {
 
 MaxFlowDpSearcher::MaxFlowDpSearcher(const TimeSeriesGraph& graph,
                                      const Motif& motif, Timestamp delta,
-                                     SharedWindowCache* window_cache)
-    : graph_(graph), motif_(motif), delta_(delta) {
+                                     SharedWindowCache* tier)
+    : graph_(graph), motif_(motif), delta_(delta), tier_(tier) {
   FLOWMOTIF_CHECK_GE(delta, 0);
-  cache_ = ResolveWindowCache(window_cache, motif, delta, &owned_cache_);
 }
 
 void MaxFlowDpSearcher::CheckScratch(Scratch* scratch) const {
   if (scratch->bound_graph == nullptr) {
     scratch->bound_graph = &graph_;
-    scratch->bound_delta = delta_;
+    scratch->windows.emplace(delta_, tier_, query_control_);
     return;
   }
   // Cursor state and buffers are per-run, but guarding the binding
-  // keeps a Scratch from silently crossing graphs or deltas.
+  // keeps a Scratch from silently crossing graphs, deltas or tiers.
   FLOWMOTIF_CHECK(scratch->bound_graph == &graph_ &&
-                  scratch->bound_delta == delta_)
-      << "DP Scratch reused across a different graph or delta";
+                  scratch->windows->delta() == delta_ &&
+                  scratch->windows->tier() == tier_)
+      << "DP Scratch reused across a different graph, delta or tier";
 }
 
 const std::vector<Window>& MaxFlowDpSearcher::BeginMatch(
@@ -40,9 +40,7 @@ const std::vector<Window>& MaxFlowDpSearcher::BeginMatch(
   // only ever move forward within one match's window sweep.
   scratch->cursors.Reset(series);
 
-  return scratch->window_mru.GetOrCompute(cache_, *series.front(),
-                                          *series.back(), delta_,
-                                          query_control_);
+  return scratch->windows->Get(*series.front(), *series.back());
 }
 
 Flow MaxFlowDpSearcher::DpOverWindow(MatchRef binding,

@@ -1,7 +1,7 @@
 #ifndef FLOWMOTIF_CORE_DP_H_
 #define FLOWMOTIF_CORE_DP_H_
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/instance.h"
@@ -36,10 +36,8 @@ class QueryControl;
 /// timestamps, so per-match WindowCursorSet cursors slide forward
 /// instead of re-running binary searches, the union timeline is rebuilt
 /// by a k-way merge (UnionTimeline), and flat offset rows
-/// (TimelineOffsets) make every Eq. 2 lookup O(1). Window lists are
-/// served by a SharedWindowCache — injected per query by the engine, or
-/// privately owned when the motif's (first, last) series pairs can
-/// repeat.
+/// (TimelineOffsets) make every Eq. 2 lookup O(1). Window lists come
+/// from the Scratch's WindowListMru reader.
 class MaxFlowDpSearcher {
  public:
   struct Result {
@@ -70,13 +68,11 @@ class MaxFlowDpSearcher {
   /// otherwise spend most of its time reallocating the timeline, the
   /// offset maps, and the table rows; callers that process many batches
   /// (the engine) hand the same Scratch to successive RunOnMatches calls
-  /// so the buffers survive batch boundaries. Window lists live in the
-  /// searcher's SharedWindowCache, not here — every worker of a query
-  /// shares one cache.
+  /// so the buffers survive batch boundaries.
   ///
-  /// A Scratch is bound to one (graph, delta) configuration on first use
-  /// and checked on every run. Scratch reuse never changes results: all
-  /// per-window state is fully overwritten.
+  /// A Scratch is bound to one searcher configuration (graph, delta,
+  /// tier) on first use and checked on every run. Scratch reuse never
+  /// changes results: all per-window state is fully overwritten.
   struct Scratch {
     // Per-match series resolution (ResolveSeries target, one motif edge
     // per entry).
@@ -95,25 +91,22 @@ class MaxFlowDpSearcher {
     std::vector<Flow> flow_table;
     std::vector<size_t> choice;
 
-    // Per-match window-list fallback when the shared cache declines
-    // the pair (saturated cache or memoization gated off): a one-entry
-    // MRU, so consecutive matches sharing a pair still hit.
-    WindowListMru window_mru;
+    // The window-list reader of this scratch's worker, created at
+    // first use with the searcher's delta, tier and query control; its
+    // tier lease lives as long as the Scratch.
+    std::optional<WindowListMru> windows;
 
-    // First-use binding (graph + delta) guarding against accidental
-    // reuse across incompatible searchers.
+    // First-use binding guarding against accidental reuse across
+    // incompatible searchers (delta and tier are the reader's).
     const TimeSeriesGraph* bound_graph = nullptr;
-    Timestamp bound_delta = 0;
   };
 
-  /// `window_cache` (optional) is the per-query shared cache; it must
-  /// outlive the searcher and be bound to the same delta. The searcher
-  /// reads through it — or, when null, through a privately owned cache
-  /// — iff the motif has an interior node (the only shape where a pair
-  /// can repeat); otherwise caching is off regardless.
+  /// `tier` (optional) is a cross-query window-list tier
+  /// (SharedWindowCache) bound to the same delta that must outlive the
+  /// searcher; each Scratch's reader leases it and consults it on a
+  /// slot miss. Without one, readers compute lists themselves.
   MaxFlowDpSearcher(const TimeSeriesGraph& graph, const Motif& motif,
-                    Timestamp delta,
-                    SharedWindowCache* window_cache = nullptr);
+                    Timestamp delta, SharedWindowCache* tier = nullptr);
   // The searcher keeps a reference to the graph: temporaries would dangle.
   MaxFlowDpSearcher(TimeSeriesGraph&&, const Motif&, Timestamp,
                     SharedWindowCache* = nullptr) = delete;
@@ -143,16 +136,12 @@ class MaxFlowDpSearcher {
   /// Top-1 per window position within a single structural match.
   std::vector<WindowBest> RunPerWindow(MatchRef binding) const;
 
-  /// The window cache this searcher reads through (injected or owned);
-  /// null when memoization is gated off. Exposed for tests.
-  const SharedWindowCache* window_cache() const { return cache_; }
-
   /// Attaches the owning query's lifecycle control (non-owning, may be
-  /// null): every window list BeginMatch materializes — through the
-  /// cache or recomputed into the scratch MRU — is billed against its
-  /// WorkBudget at site "cache.windows". QueryControl is internally
-  /// synchronized, so one searcher shared across workers charges
-  /// safely. Set before sharing; must outlive every run.
+  /// null): every window list a Scratch's reader materializes — in the
+  /// tier or in its own slot — is billed against its WorkBudget at site
+  /// "cache.windows". QueryControl is internally synchronized, so one
+  /// searcher shared across workers charges safely. Set before the
+  /// first run; must outlive every run.
   void set_query_control(QueryControl* control) { query_control_ = control; }
 
  private:
@@ -165,23 +154,18 @@ class MaxFlowDpSearcher {
 
   /// Resolves the match's per-edge series into scratch->series, resets
   /// the window cursors, and returns the match's processed-window list
-  /// (from the shared cache when possible, else served by
-  /// scratch->window_mru).
+  /// from scratch->windows.
   const std::vector<Window>& BeginMatch(MatchRef binding,
                                         Scratch* scratch) const;
 
-  /// Binds `scratch` to this searcher's (graph, delta) or checks the
-  /// existing binding.
+  /// Binds `scratch` to this searcher's (graph, delta, tier) — creating
+  /// its reader — or checks the existing binding.
   void CheckScratch(Scratch* scratch) const;
 
   const TimeSeriesGraph& graph_;
   const Motif motif_;
   Timestamp delta_;
-  // Privately owned cache when none is injected and the motif has an
-  // interior node. SharedWindowCache is internally synchronized, so the
-  // const methods above may insert through it.
-  std::unique_ptr<SharedWindowCache> owned_cache_;
-  SharedWindowCache* cache_;  // null = compute windows per match
+  SharedWindowCache* tier_;  // may be null
   QueryControl* query_control_ = nullptr;  // budget charging; may be null
 };
 

@@ -59,8 +59,6 @@ FlowMotifEnumerator::FlowMotifEnumerator(const TimeSeriesGraph& graph,
     : graph_(graph), motif_(motif), options_(options) {
   FLOWMOTIF_CHECK_GE(options.delta, 0) << "delta must be non-negative";
   FLOWMOTIF_CHECK_GE(options.phi, 0.0) << "phi must be non-negative";
-  cache_ = ResolveWindowCache(options.shared_window_cache, motif,
-                              options.delta, &owned_cache_);
 }
 
 bool FlowMotifEnumerator::PassesFlowBound(Flow flow) const {
@@ -164,7 +162,9 @@ void FlowMotifEnumerator::Recurse(Context* ctx, int level,
 
 bool FlowMotifEnumerator::EnumerateMatch(MatchRef binding,
                                          const InstanceVisitor& visitor,
-                                         EnumerationResult* result) const {
+                                         EnumerationResult* result,
+                                         WindowListMru* reader) const {
+  FLOWMOTIF_CHECK_EQ(reader->delta(), options_.delta);
   const int m = motif_.num_edges();
   Context ctx;
   ResolveMatchSeries(graph_, motif_, binding, &ctx.series);
@@ -174,26 +174,13 @@ bool FlowMotifEnumerator::EnumerateMatch(MatchRef binding,
   ctx.visitor = &visitor;
   ctx.result = result;
 
-  // The match's processed-window list, read through the per-query
-  // shared cache when the motif's (first, last) series pairs can repeat
-  // (else computed into the local buffer, exactly as before PR 4).
-  std::vector<Window> local_windows;
-  const std::vector<Window>* windows = nullptr;
-  if (cache_ != nullptr) {
-    windows = cache_->Get(*ctx.series.front(), *ctx.series.back(),
-                          options_.query_control);
-  }
-  if (windows == nullptr) {
-    ComputeProcessedWindows(*ctx.series.front(), *ctx.series.back(),
-                            options_.delta, &local_windows);
-    ChargeComputedWindows(options_.query_control, local_windows.size(), 0);
-    windows = &local_windows;
-  }
+  const std::vector<Window>& windows =
+      reader->Get(*ctx.series.front(), *ctx.series.back());
 
   if (options_.ablation_no_window_skip) {
     // Ablation: run every anchor position; remember which ones the skip
     // rule would have processed so redundant emissions can be counted.
-    const std::vector<Window>& kept = *windows;
+    const std::vector<Window>& kept = windows;
     const std::vector<Window> all_windows =
         ComputeAllWindows(*ctx.series.front(), options_.delta);
     size_t kept_cursor = 0;
@@ -214,8 +201,8 @@ bool FlowMotifEnumerator::EnumerateMatch(MatchRef binding,
     return !ctx.stop;
   }
 
-  result->num_windows_processed += static_cast<int64_t>(windows->size());
-  for (const Window& window : *windows) {
+  result->num_windows_processed += static_cast<int64_t>(windows.size());
+  for (const Window& window : windows) {
     if (ctx.stop) break;
     ctx.AdvanceToWindow(window);
     ctx.min_flow_so_far = std::numeric_limits<Flow>::infinity();
@@ -255,11 +242,12 @@ EnumerationResult FlowMotifEnumerator::Run(
   WallTimer total_timer;
   double phase2_seconds = 0.0;
 
+  WindowListMru reader(options_.delta);
   StructuralMatcher matcher(graph_, motif_);
   matcher.FindAll([&](MatchRef binding) {
     ++result.num_structural_matches;
     WallTimer p2_timer;
-    const bool keep_going = EnumerateMatch(binding, visitor, &result);
+    const bool keep_going = EnumerateMatch(binding, visitor, &result, &reader);
     phase2_seconds += p2_timer.ElapsedSeconds();
     return keep_going;
   });
@@ -274,9 +262,10 @@ EnumerationResult FlowMotifEnumerator::RunOnMatches(
     const MatchList& matches, const InstanceVisitor& visitor) const {
   EnumerationResult result;
   WallTimer timer;
+  WindowListMru reader(options_.delta);
   for (size_t i = 0; i < matches.size(); ++i) {
     ++result.num_structural_matches;
-    if (!EnumerateMatch(matches[i], visitor, &result)) break;
+    if (!EnumerateMatch(matches[i], visitor, &result, &reader)) break;
   }
   result.phase2_seconds = timer.ElapsedSeconds();
   return result;

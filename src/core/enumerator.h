@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/instance.h"
@@ -52,19 +51,6 @@ struct EnumerationOptions {
   /// bench_ablation.
   bool ablation_no_window_skip = false;
 
-  /// Per-query shared window cache (core/window_cursor.h), non-owning:
-  /// per-match processed-window lists are read through it instead of
-  /// recomputed per match. Must outlive the enumerator and be bound to
-  /// the same delta. When null, the enumerator owns a private cache iff
-  /// the motif has an interior node (the only shape where a
-  /// (first, last) series pair repeats).
-  SharedWindowCache* shared_window_cache = nullptr;
-
-  /// Lifecycle control (non-owning, may be null) billed for every
-  /// window list a match materializes — through the cache or computed
-  /// per match — at site "cache.windows", so WorkBudget's window and
-  /// memory caps hold for every motif shape, cache-eligible or not.
-  QueryControl* query_control = nullptr;
 };
 
 /// A contiguous run [begin, end) of one edge's interaction series — the
@@ -152,6 +138,10 @@ struct EnumerationResult {
 /// calls since all state is per-call.
 class FlowMotifEnumerator {
  public:
+  /// The enumerator holds no window-list state: EnumerateMatch reads
+  /// through the caller's reader (one per worker, optionally backed by a
+  /// cross-query tier), and Run / RunOnMatches use one tier-less reader
+  /// per call.
   FlowMotifEnumerator(const TimeSeriesGraph& graph, const Motif& motif,
                       const EnumerationOptions& options);
   // The enumerator keeps a reference to the graph: temporaries would
@@ -173,10 +163,13 @@ class FlowMotifEnumerator {
       const;
 
   /// Phase P2 for a single structural match, accumulating into `result`.
-  /// Returns false if the visitor requested a stop.
+  /// The match's window list comes from `reader` — the calling worker's
+  /// reader, bound to options().delta. Returns false if the visitor
+  /// requested a stop.
   bool EnumerateMatch(MatchRef binding,
                       const InstanceVisitor& visitor,
-                      EnumerationResult* result) const;
+                      EnumerationResult* result,
+                      WindowListMru* reader) const;
 
   /// Phase P2 for a single match over an explicit window span instead of
   /// the match's own processed-window list. The windows must be (a
@@ -207,11 +200,6 @@ class FlowMotifEnumerator {
   const TimeSeriesGraph& graph_;
   const Motif motif_;
   const EnumerationOptions options_;
-  // Privately owned cache when options_.shared_window_cache is null and
-  // the motif has an interior node. SharedWindowCache is internally
-  // synchronized, so const methods may insert through it.
-  std::unique_ptr<SharedWindowCache> owned_cache_;
-  SharedWindowCache* cache_;  // null = compute windows per match
 };
 
 }  // namespace flowmotif

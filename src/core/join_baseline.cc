@@ -1,6 +1,7 @@
 #include "core/join_baseline.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -55,22 +56,13 @@ std::pair<const Quint*, const Quint*> QuintGroupAt(
 
 JoinMotifEnumerator::JoinMotifEnumerator(const TimeSeriesGraph& graph,
                                          const Motif& motif, Timestamp delta,
-                                         Flow phi,
-                                         SharedWindowCache* window_cache)
-    : graph_(graph),
-      motif_(motif),
-      delta_(delta),
-      phi_(phi),
-      cache_(window_cache) {
+                                         Flow phi)
+    : graph_(graph), motif_(motif), delta_(delta), phi_(phi) {
   FLOWMOTIF_CHECK_GE(delta, 0);
   FLOWMOTIF_CHECK_GE(phi, 0.0);
   FLOWMOTIF_CHECK(motif.is_path())
       << "the join baseline is defined for spanning-path motifs (as in the "
          "paper); use FlowMotifEnumerator for general motifs";
-  if (window_cache != nullptr) {
-    FLOWMOTIF_CHECK_EQ(window_cache->delta(), delta)
-        << "shared window cache bound to a different delta";
-  }
 }
 
 JoinMotifEnumerator::Result JoinMotifEnumerator::Run(
@@ -221,21 +213,23 @@ JoinMotifEnumerator::Result JoinMotifEnumerator::Run(
   }
 
   // ---- Anchor novelty: keep only instances whose anchor is a processed
-  // window position for their (e1, em) series pair. Window lists come
-  // from the shared per-query cache (or a run-local one), so surviving
-  // partials sharing a pair — the common case — pay one two-pointer
-  // scan total, and the two-phase engine sharing the query's cache
-  // reuses the very same lists. -----------------------------------------
-  SharedWindowCache local_cache(delta_);
-  SharedWindowCache* cache = cache_ != nullptr ? cache_ : &local_cache;
-  WindowListMru window_mru;  // fallback if the cache saturates
+  // window position for their (e1, em) series pair. The frontier
+  // interleaves pairs (partials of one first pair alternate between
+  // last pairs anchor by anchor), so a one-entry slot would rescan; a
+  // run-local map keyed on the pair indices scans each pair once. -----
+  std::unordered_map<uint64_t, std::vector<Window>> windows_by_pair;
+  const auto num_pairs = static_cast<uint64_t>(graph_.num_pairs());
   for (const Partial& partial : frontier) {
-    const EdgeSeries& first_series =
-        graph_.pair(partial.slices.front().first).series;
-    const EdgeSeries& last_series =
-        graph_.pair(partial.slices.back().first).series;
-    const std::vector<Window>& windows =
-        window_mru.GetOrCompute(cache, first_series, last_series, delta_);
+    const size_t first_pair = partial.slices.front().first;
+    const size_t last_pair = partial.slices.back().first;
+    const auto [entry, inserted] =
+        windows_by_pair.try_emplace(first_pair * num_pairs + last_pair);
+    if (inserted) {
+      ComputeProcessedWindows(graph_.pair(first_pair).series,
+                              graph_.pair(last_pair).series, delta_,
+                              &entry->second);
+    }
+    const std::vector<Window>& windows = entry->second;
     const auto window_at = std::partition_point(
         windows.begin(), windows.end(), [&partial](const Window& w) {
           return w.start < partial.anchor;

@@ -7,7 +7,6 @@
 #include "core/enumerator.h"
 #include "core/instance.h"
 #include "core/motif.h"
-#include "core/window_cursor.h"
 #include "graph/time_series_graph.h"
 
 namespace flowmotif {
@@ -33,11 +32,10 @@ namespace flowmotif {
 /// split, last edge extended to the window end, window anchor novelty)
 /// make the final instance set *identical* to FlowMotifEnumerator's
 /// paper-faithful output — which the property tests verify. The
-/// anchor-novelty window lists are served by a SharedWindowCache
-/// (injected per query, or a run-local one; keyed on timestamp-storage
-/// identity like every cache consumer), shared with the two-phase
-/// paths so Fig. 8 comparisons measure the join strategy, not redundant
-/// window recomputation. The cost profile is the paper's: a large
+/// anchor-novelty window lists are ComputeProcessedWindows output, as
+/// on the two-phase paths, computed once per (e1, em) pair of a run, so
+/// Fig. 8 comparisons measure the join strategy, not redundant window
+/// computation. The cost profile is the paper's: a large
 /// number of intermediate sub-motif instances is produced and most
 /// never contribute to a final instance.
 class JoinMotifEnumerator {
@@ -52,15 +50,12 @@ class JoinMotifEnumerator {
     double seconds = 0.0;
   };
 
-  /// `window_cache` (optional) serves the anchor-novelty window lists;
-  /// it must outlive the enumerator and be bound to the same delta.
   JoinMotifEnumerator(const TimeSeriesGraph& graph, const Motif& motif,
-                      Timestamp delta, Flow phi,
-                      SharedWindowCache* window_cache = nullptr);
+                      Timestamp delta, Flow phi);
   // The enumerator keeps a reference to the graph: temporaries would
   // dangle.
-  JoinMotifEnumerator(TimeSeriesGraph&&, const Motif&, Timestamp, Flow,
-                      SharedWindowCache* = nullptr) = delete;
+  JoinMotifEnumerator(TimeSeriesGraph&&, const Motif&, Timestamp,
+                      Flow) = delete;
 
   /// Runs the join pipeline. `visitor` may be null to count only.
   Result Run(const JoinVisitor& visitor = nullptr) const;
@@ -70,7 +65,6 @@ class JoinMotifEnumerator {
   const Motif motif_;
   Timestamp delta_;
   Flow phi_;
-  SharedWindowCache* cache_;  // null = one run-local cache per Run
 };
 
 }  // namespace flowmotif

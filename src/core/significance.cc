@@ -14,12 +14,6 @@ namespace flowmotif {
 
 namespace {
 
-/// Cap of the per-pass cross-graph window cache. Every entry can be hit
-/// by each of the N+1 graphs and every motif of the set, so a larger cap
-/// than the per-query default pays for itself; memory stays bounded at
-/// max_entries window lists.
-constexpr size_t kEnsembleCacheEntries = 4096;
-
 /// Longest contiguous completed-task prefix — the only part of a
 /// stopped ensemble the reports may use: parallel tasks beyond the
 /// first never-ran task completed out of canonical order.
@@ -41,7 +35,7 @@ SignificanceAnalyzer::SignificanceAnalyzer(const TimeSeriesGraph& graph,
 }
 
 SignificanceAnalyzer::PreparedMotif SignificanceAnalyzer::Prepare(
-    const Motif& motif, SharedWindowCache* cache) const {
+    const Motif& motif) const {
   PreparedMotif prepared;
   // Structural matches are flow-independent: compute once on the real
   // graph and reuse on every permutation (Sec. 6.3 observes that all
@@ -60,7 +54,8 @@ SignificanceAnalyzer::PreparedMotif SignificanceAnalyzer::Prepare(
   sk_options.query_control = options_.control;
   WallTimer record_timer;
   if (prepared.skeleton.Record(graph_, motif, options_.delta,
-                               prepared.matches, cache, sk_options)) {
+                               prepared.matches, /*tier=*/nullptr,
+                               sk_options)) {
     prepared.record_seconds = record_timer.ElapsedSeconds();
   }
   return prepared;
@@ -68,15 +63,12 @@ SignificanceAnalyzer::PreparedMotif SignificanceAnalyzer::Prepare(
 
 int64_t SignificanceAnalyzer::CountOn(const TimeSeriesGraph& target,
                                       const Motif& motif,
-                                      const MatchList& matches,
-                                      SharedWindowCache* cache) const {
-  InstanceCounter counter(target, motif, options_.delta, options_.phi,
-                          cache);
-  counter.set_query_control(options_.control);
-  WindowListMru window_mru;
+                                      const MatchList& matches) const {
+  const InstanceCounter counter(target, motif, options_.delta, options_.phi);
+  WindowListMru reader(options_.delta, nullptr, options_.control);
   int64_t count = 0;
   for (size_t i = 0; i < matches.size(); ++i) {
-    count += counter.CountMatch(matches[i], nullptr, &window_mru);
+    count += counter.CountMatch(matches[i], nullptr, &reader);
   }
   return count;
 }
@@ -112,13 +104,6 @@ std::vector<SignificanceAnalyzer::MotifReport> SignificanceAnalyzer::AnalyzeAll(
     const std::vector<Motif>& motifs) const {
   if (motifs.empty()) return {};
   QueryControl* const control = options_.control;
-  // One cross-graph cache for the whole set: every graph of the
-  // ensemble shares the real graph's timestamp storage and the cache
-  // keys on that identity, so a window list computed for any motif and
-  // task is a hit for every other.
-  SharedWindowCache cache(options_.delta, kEnsembleCacheEntries,
-                          /*cross_graph=*/true);
-  cache.set_query_control(control);
 
   // Step 1: matches and skeleton per motif, on the real graph.
   const size_t num_motifs = motifs.size();
@@ -127,7 +112,7 @@ std::vector<SignificanceAnalyzer::MotifReport> SignificanceAnalyzer::AnalyzeAll(
   bool any_replayed = false;
   bool any_counted = false;
   for (const Motif& motif : motifs) {
-    prepared.push_back(Prepare(motif, &cache));
+    prepared.push_back(Prepare(motif));
     if (prepared.back().skeleton.recorded()) {
       any_replayed = true;
     } else {
@@ -177,8 +162,7 @@ std::vector<SignificanceAnalyzer::MotifReport> SignificanceAnalyzer::AnalyzeAll(
       }
     }
     // The counting route needs an actual graph: a flow view over the
-    // same draw (sharing the real graph's timestamps, so every window
-    // list is a cache hit).
+    // same draw, sharing the real graph's timestamps.
     std::optional<TimeSeriesGraph> view;
     if (any_counted && task != 0) {
       view.emplace(graph_.WithFlows(slot_flows[slot]));
@@ -190,7 +174,7 @@ std::vector<SignificanceAnalyzer::MotifReport> SignificanceAnalyzer::AnalyzeAll(
       counts[m][static_cast<size_t>(task)] =
           replayer.has_value()
               ? replayer->Count(arena, options_.phi)
-              : CountOn(target, motifs[m], prepared[m].matches, &cache);
+              : CountOn(target, motifs[m], prepared[m].matches);
     }
     done[static_cast<size_t>(task)] = 1;
   };

@@ -31,8 +31,7 @@ namespace flowmotif {
 ///   1. Per motif, on the real graph: the structural matches (phase P1,
 ///      once — they are flow-independent) and the timestamp-only
 ///      enumeration skeleton (core/skeleton.h), recorded through one
-///      cross-graph SharedWindowCache that keys on timestamp-storage
-///      identity and so serves all N+1 graphs.
+///      window-list reader per motif.
 ///   2. Each permutation is drawn once, serially from the seeded
 ///      FlowPermutationStream, in waves as wide as the pool (1 without
 ///      one), so permutation i is the same for every pool size and
@@ -124,8 +123,7 @@ class SignificanceAnalyzer {
 
   /// Analyzes a set of motifs against ONE permutation ensemble — the
   /// paper's setup — in one pass: each permutation is drawn once and
-  /// counted for every motif, and one window cache serves every motif
-  /// and graph. Each report is identical to the corresponding
+  /// counted for every motif. Each report is identical to the corresponding
   /// single-motif Analyze call regardless of the set's composition or
   /// order.
   std::vector<MotifReport> AnalyzeAll(const std::vector<Motif>& motifs) const;
@@ -140,13 +138,13 @@ class SignificanceAnalyzer {
     double record_seconds = 0.0;
   };
 
-  PreparedMotif Prepare(const Motif& motif, SharedWindowCache* cache) const;
+  PreparedMotif Prepare(const Motif& motif) const;
 
   /// Instance count of `motif` on one graph of the ensemble by the
   /// counting recursion over the prepared matches — the route for
   /// motifs without a recorded skeleton.
   int64_t CountOn(const TimeSeriesGraph& target, const Motif& motif,
-                  const MatchList& matches, SharedWindowCache* cache) const;
+                  const MatchList& matches) const;
 
   /// Summary statistics over the first `tasks_completed` per-task
   /// counts (index 0 = real). Fills graphs_completed and, when the

@@ -350,17 +350,17 @@ void EnumerationSkeleton::Clear() {
 bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
                                  const Motif& motif, Timestamp delta,
                                  const std::vector<MatchBinding>& matches,
-                                 SharedWindowCache* cache,
+                                 SharedWindowCache* tier,
                                  const Options& options) {
   return Record(graph, motif, delta,
                 MatchList(static_cast<size_t>(motif.num_nodes()), matches),
-                cache, options);
+                tier, options);
 }
 
 bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
                                  const Motif& motif, Timestamp delta,
                                  const MatchList& matches,
-                                 SharedWindowCache* cache,
+                                 SharedWindowCache* tier,
                                  const Options& options) {
   FLOWMOTIF_CHECK_GE(delta, 0);
   Clear();
@@ -374,14 +374,7 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
   std::vector<const EdgeSeries*> series(static_cast<size_t>(m));
   std::vector<size_t> base(static_cast<size_t>(m));
   WindowCursorSet cursors;
-  WindowListMru window_mru;
-  // Same cache policy as the counting/enumeration paths: when the
-  // motif's (first, last) pairs cannot repeat and the cache is not
-  // cross-graph, reading through it costs a hash probe and a dead
-  // insertion per match — the MRU alone serves run-locality hits.
-  std::unique_ptr<SharedWindowCache> owned_cache;
-  SharedWindowCache* resolved_cache =
-      ResolveWindowCache(cache, motif, delta, &owned_cache);
+  WindowListMru reader(delta, tier, options.query_control);
 
   std::vector<Recorder::EdgeRec> edges;
   Recorder rec;
@@ -404,9 +397,8 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
     }
     rec.BeginMatch(series);
 
-    const std::vector<Window>& windows = window_mru.GetOrCompute(
-        resolved_cache, *series.front(), *series.back(), delta,
-        options.query_control);
+    const std::vector<Window>& windows =
+        reader.Get(*series.front(), *series.back());
     if (rec.RecordMatchWindows(&cursors, series, windows)) {
       match_viable_[match_index] = 1;
     }
@@ -471,7 +463,7 @@ void EnumerationSkeleton::RecordSweepDescending(
   std::vector<bool> dead(n, false);
 
   // Per-match window lists, one per delta, out of a single scan of the
-  // match's boundary series. The one-entry MRU mirrors WindowListMru:
+  // match's boundary series. This one-entry slot mirrors WindowListMru's:
   // interior-node motifs present the same (first, last) identity pair
   // in runs, and the lists depend only on those identities.
   std::vector<std::vector<Window>> windows;

@@ -132,15 +132,16 @@ class EnumerationSkeleton {
     size_t max_edges = kDefaultMaxEdges;
 
     /// Lifecycle control (non-owning, may be null) billed for every
-    /// window list recording materializes — through the cache or
-    /// recomputed privately — at site "cache.windows", keeping
-    /// WorkBudget window/memory caps uniform across motif shapes.
+    /// window list recording materializes — in the tier or in the
+    /// recording's reader — at site "cache.windows".
     QueryControl* query_control = nullptr;
   };
 
   /// Records the skeleton of enumerating `motif` at `delta` over
-  /// `matches` on `graph`. Window lists are read through `cache` when
-  /// provided (it must be bound to the same delta). Returns false —
+  /// `matches` on `graph`. Window lists come from one WindowListMru
+  /// reader for the whole recording, which leases `tier` (optional, a
+  /// cross-query SharedWindowCache bound to the same delta) and asks it
+  /// on a slot miss. Returns false —
   /// leaving the skeleton unrecorded — when the trace would exceed
   /// options.max_edges or the prefix arena would overflow 32-bit
   /// indices; callers then fall back to ordinary per-graph
@@ -148,15 +149,15 @@ class EnumerationSkeleton {
   /// happens before any flow-dependent work.
   bool Record(const TimeSeriesGraph& graph, const Motif& motif,
               Timestamp delta, const MatchList& matches,
-              SharedWindowCache* cache, const Options& options);
+              SharedWindowCache* tier, const Options& options);
   /// The same over owning bindings (flattened once).
   bool Record(const TimeSeriesGraph& graph, const Motif& motif,
               Timestamp delta, const std::vector<MatchBinding>& matches,
-              SharedWindowCache* cache, const Options& options);
+              SharedWindowCache* tier, const Options& options);
   bool Record(const TimeSeriesGraph& graph, const Motif& motif,
               Timestamp delta, const std::vector<MatchBinding>& matches,
-              SharedWindowCache* cache) {
-    return Record(graph, motif, delta, matches, cache, Options());
+              SharedWindowCache* tier) {
+    return Record(graph, motif, delta, matches, tier, Options());
   }
 
   /// Records one skeleton per entry of `deltas` (which must be

@@ -19,47 +19,63 @@ std::vector<Window> ComputeProcessedWindows(const EdgeSeries& first,
   return windows;
 }
 
-void ComputeProcessedWindows(const EdgeSeries& first, const EdgeSeries& last,
-                             Timestamp delta, std::vector<Window>* out) {
-  std::vector<Window>& windows = *out;
-  windows.clear();
+namespace {
+
+/// What one anchor of the processed-window scan decided.
+enum class ScanStep { kSkip, kEmit, kExhausted };
+
+/// One anchor of the novelty scan over R(em), shared by every scan loop
+/// below: skips a duplicate anchor timestamp, advances the monotone
+/// R(em) cursor, and decides whether the window [anchor, anchor + delta]
+/// holds a novel R(em) element. Before the first processed window the cursor
+/// trails the anchor (the novelty rule reduces to "any element in
+/// [anchor, end]"); afterwards it sits at the first element past the
+/// previous processed end ("any element in (prev_end, end]"). Anchors
+/// and window ends are both non-decreasing, and prev_end >= the anchor
+/// that set it, so the cursor never moves backwards when the rule
+/// switches — a whole scan is O(|R(e1)| + |R(em)|). kExhausted means
+/// the cursor ran off R(em): no later anchor of this series pair can
+/// produce a novel window either. On kEmit the caller appends
+/// Window{anchor, state->prev_end}; `state->anchor_idx` is the caller's.
+inline ScanStep NoveltyStep(const EdgeSeries& last, Timestamp anchor,
+                            Timestamp delta, WindowScanState* state) {
   // "No window processed yet" is tracked explicitly: encoding it as
   // numeric_limits::min() sentinels collided with a legal first anchor
   // at exactly that timestamp, which was then dropped as a "duplicate"
   // and whose `anchor - 1` probe underflowed.
-  bool have_processed = false;
-  Timestamp prev_end = 0;
-  Timestamp prev_anchor = 0;
+  const Timestamp end = WindowEndSaturating(anchor, delta);
+  const size_t num_last = last.size();
+  size_t c = state->em_cursor;
+  if (state->have_processed) {
+    if (anchor == state->prev_anchor) {
+      return ScanStep::kSkip;  // duplicate anchor timestamp
+    }
+    while (c < num_last && last.time(c) <= state->prev_end) ++c;
+  } else {
+    while (c < num_last && last.time(c) < anchor) ++c;
+  }
+  state->em_cursor = c;
+  if (c >= num_last) return ScanStep::kExhausted;
+  if (last.time(c) > end) return ScanStep::kSkip;
+  state->prev_end = end;
+  state->prev_anchor = anchor;
+  state->have_processed = true;
+  return ScanStep::kEmit;
+}
 
-  // One monotone cursor into R(em) replaces the per-anchor binary
-  // search: before the first processed window it trails the anchor (the
-  // novelty rule reduces to "any element in [anchor, end]"), afterwards
-  // it sits at the first element past the previous processed end ("any
-  // element in (prev_end, end]"). Anchors and window ends are both
-  // non-decreasing, and prev_end >= the anchor that set it, so the
-  // cursor never moves backwards when the rule switches — the whole
-  // scan is O(|R(e1)| + |R(em)|).
-  size_t cursor = 0;
+}  // namespace
 
+void ComputeProcessedWindows(const EdgeSeries& first, const EdgeSeries& last,
+                             Timestamp delta, std::vector<Window>* out) {
+  out->clear();
+  WindowScanState state;
   for (size_t i = 0; i < first.size(); ++i) {
     const Timestamp anchor = first.time(i);
-    if (have_processed && anchor == prev_anchor) {
-      continue;  // duplicate anchor timestamp
+    const ScanStep step = NoveltyStep(last, anchor, delta, &state);
+    if (step == ScanStep::kExhausted) break;
+    if (step == ScanStep::kEmit) {
+      out->push_back(Window{anchor, state.prev_end});
     }
-    const Timestamp end = WindowEndSaturating(anchor, delta);
-    if (have_processed) {
-      while (cursor < last.size() && last.time(cursor) <= prev_end) ++cursor;
-    } else {
-      while (cursor < last.size() && last.time(cursor) < anchor) ++cursor;
-    }
-    // No R(em) element remains beyond the threshold: no later anchor can
-    // produce a novel window either.
-    if (cursor >= last.size()) break;
-    if (last.time(cursor) > end) continue;
-    windows.push_back(Window{anchor, end});
-    prev_end = end;
-    prev_anchor = anchor;
-    have_processed = true;
   }
 }
 
@@ -85,20 +101,17 @@ void ComputeProcessedWindowsMulti(const EdgeSeries& first,
   ComputeProcessedWindows(first, last, deltas[widest], &(*out)[widest]);
   if (n == 1 || (*out)[widest].empty()) return;
 
-  // Per-delta copies of the single-delta scan's state (one contiguous
-  // struct per delta — the inner loop touches every field of each);
-  // the anchor walk and the R(em) reads are shared across all of them.
-  // `done` mirrors the single-delta early break (cursor ran off R(em));
-  // the shared loop stops once every delta is done. The state lives in
-  // a small stack buffer: this runs once per structural match, and a
-  // heap vector here was a measurable slice of sweep recording.
+  // One scan state per delta (one contiguous struct each — the inner
+  // loop touches every field); the anchor walk and the R(em) reads are
+  // shared across all of them. `done` mirrors the single-delta early
+  // break (cursor ran off R(em)); the shared loop stops once every
+  // delta is done. The states live in a small stack buffer: this runs
+  // once per structural match, and a heap vector here was a measurable
+  // slice of sweep recording.
   struct DeltaScan {
+    WindowScanState state;
     Timestamp delta;
-    Timestamp prev_end;
-    Timestamp prev_anchor;
-    size_t cursor;
     size_t list;
-    bool have;
     bool done;
   };
   constexpr size_t kInlineDeltas = 15;
@@ -112,34 +125,21 @@ void ComputeProcessedWindowsMulti(const EdgeSeries& first,
   }
   for (size_t d = 0, k = 0; d < n; ++d) {
     if (d == widest) continue;
-    scans[k++] = DeltaScan{deltas[d], 0, 0, 0, d, false, false};
+    scans[k++] = DeltaScan{WindowScanState(), deltas[d], d, false};
   }
   size_t num_done = 0;
-  const size_t last_size = last.size();
   for (size_t i = 0; i < first.size() && num_done < num_scans; ++i) {
     const Timestamp anchor = first.time(i);
     for (size_t k = 0; k < num_scans; ++k) {
       DeltaScan& s = scans[k];
       if (s.done) continue;
-      if (s.have && anchor == s.prev_anchor) continue;
-      const Timestamp end = WindowEndSaturating(anchor, s.delta);
-      size_t c = s.cursor;
-      if (s.have) {
-        while (c < last_size && last.time(c) <= s.prev_end) ++c;
-      } else {
-        while (c < last_size && last.time(c) < anchor) ++c;
-      }
-      s.cursor = c;
-      if (c >= last_size) {
+      const ScanStep step = NoveltyStep(last, anchor, s.delta, &s.state);
+      if (step == ScanStep::kExhausted) {
         s.done = true;
         ++num_done;
-        continue;
+      } else if (step == ScanStep::kEmit) {
+        (*out)[s.list].push_back(Window{anchor, s.state.prev_end});
       }
-      if (last.time(c) > end) continue;
-      (*out)[s.list].push_back(Window{anchor, end});
-      s.prev_end = end;
-      s.prev_anchor = anchor;
-      s.have = true;
     }
   }
 }
@@ -151,7 +151,6 @@ void AdvanceProcessedWindows(const EdgeSeries& first, const EdgeSeries& last,
                              std::vector<Window>* hot) {
   hot->clear();
   const size_t num_anchors = first.size();
-  const size_t num_last = last.size();
 
   // Settled phase: the batch loop of ComputeProcessedWindows, mutating
   // the persistent state, stopping at the first anchor whose window end
@@ -168,19 +167,9 @@ void AdvanceProcessedWindows(const EdgeSeries& first, const EdgeSeries& last,
     const Timestamp anchor = first.time(i);
     const Timestamp end = WindowEndSaturating(anchor, delta);
     if (end >= settle_before) break;
-    if (state->have_processed && anchor == state->prev_anchor) continue;
-    size_t c = state->em_cursor;
-    if (state->have_processed) {
-      while (c < num_last && last.time(c) <= state->prev_end) ++c;
-    } else {
-      while (c < num_last && last.time(c) < anchor) ++c;
+    if (NoveltyStep(last, anchor, delta, state) == ScanStep::kEmit) {
+      settled->push_back(Window{anchor, end});
     }
-    state->em_cursor = c;
-    if (c >= num_last || last.time(c) > end) continue;
-    settled->push_back(Window{anchor, end});
-    state->prev_end = end;
-    state->prev_anchor = anchor;
-    state->have_processed = true;
   }
   state->anchor_idx = i;
 
@@ -190,21 +179,9 @@ void AdvanceProcessedWindows(const EdgeSeries& first, const EdgeSeries& last,
   WindowScanState s = *state;
   for (; i < num_anchors; ++i) {
     const Timestamp anchor = first.time(i);
-    if (s.have_processed && anchor == s.prev_anchor) continue;
-    const Timestamp end = WindowEndSaturating(anchor, delta);
-    size_t c = s.em_cursor;
-    if (s.have_processed) {
-      while (c < num_last && last.time(c) <= s.prev_end) ++c;
-    } else {
-      while (c < num_last && last.time(c) < anchor) ++c;
-    }
-    s.em_cursor = c;
-    if (c >= num_last) break;
-    if (last.time(c) > end) continue;
-    hot->push_back(Window{anchor, end});
-    s.prev_end = end;
-    s.prev_anchor = anchor;
-    s.have_processed = true;
+    const ScanStep step = NoveltyStep(last, anchor, delta, &s);
+    if (step == ScanStep::kExhausted) break;
+    if (step == ScanStep::kEmit) hot->push_back(Window{anchor, s.prev_end});
   }
 }
 

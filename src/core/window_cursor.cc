@@ -8,24 +8,6 @@
 
 namespace flowmotif {
 
-bool MotifHasInteriorNode(const Motif& motif) {
-  const auto [f_src, f_dst] = motif.edge(0);
-  const auto [l_src, l_dst] = motif.edge(motif.num_edges() - 1);
-  for (int node = 0; node < motif.num_nodes(); ++node) {
-    if (node != f_src && node != f_dst && node != l_src && node != l_dst) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ShouldUseWindowCache(const SharedWindowCache* cache,
-                          const Motif& motif) {
-  return cache != nullptr &&
-         (cache->cross_graph() || cache->has_fallback_tier() ||
-          MotifHasInteriorNode(motif));
-}
-
 void ChargeComputedWindows(QueryControl* control, size_t num_windows,
                            size_t container_bytes) {
   if (control == nullptr) return;
@@ -35,27 +17,6 @@ void ChargeComputedWindows(QueryControl* control, size_t num_windows,
       elements * static_cast<int64_t>(sizeof(Window)) +
           static_cast<int64_t>(container_bytes),
       failpoint::kCacheWindows);
-}
-
-SharedWindowCache* ResolveWindowCache(
-    SharedWindowCache* injected, const Motif& motif, Timestamp delta,
-    std::unique_ptr<SharedWindowCache>* owned) {
-  if (ShouldUseWindowCache(injected, motif)) {
-    // Injected cache: read when pairs repeat within one graph (interior
-    // node) or when the cache is cross-graph (a permutation ensemble
-    // re-presents every pair once per view).
-    FLOWMOTIF_CHECK_EQ(injected->delta(), delta)
-        << "shared window cache bound to a different delta";
-    return injected;
-  }
-  if (MotifHasInteriorNode(motif)) {
-    *owned = std::make_unique<SharedWindowCache>(delta);
-    return owned->get();
-  }
-  // Without an interior node the (first, last) series pin the whole
-  // binding, so within one graph a pair never repeats and caching could
-  // never hit — pure insert traffic.
-  return nullptr;
 }
 
 void ResolveMatchSeries(const TimeSeriesGraph& graph, const Motif& motif,
@@ -125,21 +86,33 @@ void TimelineOffsets::Build(const std::vector<const EdgeSeries*>& series,
   }
 }
 
-const std::vector<Window>& WindowListMru::GetOrCompute(
-    SharedWindowCache* cache, const EdgeSeries& first,
-    const EdgeSeries& last, Timestamp delta, QueryControl* charge) {
-  if (cache != nullptr) {
-    const std::vector<Window>* cached = cache->Get(first, last, charge);
-    if (cached != nullptr) return *cached;
+WindowListMru::WindowListMru(Timestamp delta, SharedWindowCache* tier,
+                             QueryControl* control)
+    : delta_(delta), tier_(tier), control_(control) {
+  FLOWMOTIF_CHECK_GE(delta, 0);
+  if (tier != nullptr) {
+    FLOWMOTIF_CHECK_EQ(tier->delta(), delta)
+        << "window-list tier bound to a different delta";
+    lease_ = tier->AcquireTierLease();
   }
-  if (first_id_ == first.timestamp_identity() &&
-      last_id_ == last.timestamp_identity()) {
-    return windows_;
+}
+
+const std::vector<Window>& WindowListMru::Get(const EdgeSeries& first,
+                                              const EdgeSeries& last) {
+  const StorageIdentity first_id = first.timestamp_identity();
+  const StorageIdentity last_id = last.timestamp_identity();
+  if (first_id == first_id_ && last_id == last_id_) {
+    return from_tier_ != nullptr ? *from_tier_ : windows_;
   }
-  ComputeProcessedWindows(first, last, delta, &windows_);
-  first_id_ = first.timestamp_identity();
-  last_id_ = last.timestamp_identity();
-  ChargeComputedWindows(charge, windows_.size(), 0);
+  first_id_ = first_id;
+  last_id_ = last_id;
+  // A zero-capacity tier answers null: compute into the slot instead.
+  from_tier_ = tier_ != nullptr
+                   ? tier_->LeasedGet(&lease_, first, last, control_)
+                   : nullptr;
+  if (from_tier_ != nullptr) return *from_tier_;
+  ComputeProcessedWindows(first, last, delta_, &windows_);
+  ChargeComputedWindows(control_, windows_.size(), 0);
   return windows_;
 }
 
@@ -162,8 +135,7 @@ struct SharedWindowCache::Node {
 };
 
 /// One entry pool: a fixed open-hashed bucket array of insert-only node
-/// chains plus a reservation counter. A non-generational cache owns
-/// exactly one for its lifetime; a generational cache rotates through
+/// chains plus a reservation counter. The tier rotates through
 /// shared_ptr-owned ones, each freed when the last lease drops it.
 struct SharedWindowCache::Generation {
   explicit Generation(size_t cap)
@@ -210,45 +182,16 @@ size_t PairHash(const StorageIdentity& first_id,
 }  // namespace
 
 SharedWindowCache::SharedWindowCache(Timestamp delta, size_t max_entries,
-                                     bool cross_graph)
-    : SharedWindowCache(delta, max_entries, cross_graph,
-                        /*generational=*/false) {}
-
-SharedWindowCache::SharedWindowCache(Timestamp delta, size_t max_entries,
-                                     bool cross_graph, bool generational)
+                                     bool)
     : delta_(delta),
       max_entries_(max_entries),
-      cross_graph_(cross_graph),
-      generational_(generational) {
+      cur_(std::make_shared<Generation>(max_entries)) {
   FLOWMOTIF_CHECK_GE(delta, 0);
-  if (generational_) {
-    cur_ = std::make_shared<Generation>(max_entries_);
-  } else {
-    base_ = std::make_unique<Generation>(max_entries_);
-  }
-}
-
-std::unique_ptr<SharedWindowCache> SharedWindowCache::MakeGenerational(
-    Timestamp delta, size_t max_entries_per_generation) {
-  return std::unique_ptr<SharedWindowCache>(
-      new SharedWindowCache(delta, max_entries_per_generation,
-                            /*cross_graph=*/false, /*generational=*/true));
 }
 
 SharedWindowCache::~SharedWindowCache() = default;
 
-void SharedWindowCache::set_fallback_tier(SharedWindowCache* tier) {
-  FLOWMOTIF_CHECK(tier == nullptr || tier->generational_)
-      << "a fallback tier must be generational (MakeGenerational)";
-  tier_ = tier;
-  if (tier != nullptr) {
-    std::lock_guard<std::mutex> lock(tier_lease_mu_);
-    tier_lease_ = tier->AcquireTierLease();
-  }
-}
-
 size_t SharedWindowCache::size() const {
-  if (!generational_) return base_->size.load(std::memory_order_acquire);
   std::lock_guard<std::mutex> lock(gen_mu_);
   size_t total = cur_->size.load(std::memory_order_acquire);
   if (prev_ != nullptr) total += prev_->size.load(std::memory_order_acquire);
@@ -316,53 +259,7 @@ const std::vector<Window>* SharedWindowCache::InsertReserved(Generation* gen,
   }
 }
 
-const std::vector<Window>* SharedWindowCache::Get(const EdgeSeries& first,
-                                                  const EdgeSeries& last,
-                                                  QueryControl* charge) {
-  FLOWMOTIF_CHECK(!generational_)
-      << "generational caches are read through a TierLease (LeasedGet)";
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  // The key is the timestamp-storage identity, not the series address:
-  // a flow-permuted view hits the entry its source series published.
-  const StorageIdentity first_id = first.timestamp_identity();
-  const StorageIdentity last_id = last.timestamp_identity();
-  if (Node* node = FindIn(*base_, first_id, last_id)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return &node->windows;
-  }
-
-  // Budget charges land on the per-call control when given (the tier
-  // case: one cache, many queries), else on the attached per-query one.
-  QueryControl* const control = charge != nullptr ? charge : control_;
-
-  // Miss: before computing anything ourselves, fall through to the
-  // cross-query tier — it either serves a warm list another query
-  // published or publishes ours (charged to this query's control).
-  // Tier entries are as immutable and as long-lived as this query (the
-  // lease pins a generational tier's generations), so the pointer is
-  // returned directly and this cache stays empty for pairs the tier
-  // holds. A zero-capacity tier returns null and we proceed with the
-  // private publish below.
-  if (tier_ != nullptr) {
-    std::lock_guard<std::mutex> lock(tier_lease_mu_);
-    const std::vector<Window>* from_tier =
-        tier_->LeasedGet(&tier_lease_, first, last, control);
-    if (from_tier != nullptr) return from_tier;
-  }
-
-  if (!TryReserve(base_.get())) return nullptr;
-
-  Node* node = new Node{first_id, last_id,
-                        ComputeProcessedWindows(first, last, delta_),
-                        nullptr};
-  // Budget accounting happens at materialization, the only point
-  // where this query allocates window storage that outlives a match.
-  ChargeComputedWindows(control, node->windows.size(), sizeof(Node));
-  return InsertReserved(base_.get(), node);
-}
-
 SharedWindowCache::TierLease SharedWindowCache::AcquireTierLease() {
-  FLOWMOTIF_CHECK(generational_);
   TierLease lease;
   std::lock_guard<std::mutex> lock(gen_mu_);
   lease.cur_ = cur_;
@@ -394,8 +291,7 @@ void SharedWindowCache::Rotate(TierLease* lease) {
 
 const std::vector<Window>* SharedWindowCache::LeasedGet(
     TierLease* lease, const EdgeSeries& first, const EdgeSeries& last,
-    QueryControl* charge) {
-  FLOWMOTIF_CHECK(generational_);
+    QueryControl* control) {
   FLOWMOTIF_CHECK(lease != nullptr && lease->active());
   lookups_.fetch_add(1, std::memory_order_relaxed);
   const StorageIdentity first_id = first.timestamp_identity();
@@ -419,7 +315,6 @@ const std::vector<Window>* SharedWindowCache::LeasedGet(
       return &node->windows;
     }
   }
-  QueryControl* const control = charge != nullptr ? charge : control_;
   if (max_entries_ == 0) return nullptr;
   // Saturated: rotate instead of declining, then retry through the
   // refreshed lease. Loop, not a single retry — under contention the
@@ -438,7 +333,6 @@ const std::vector<Window>* SharedWindowCache::LeasedGet(
 
 void SharedWindowCache::SweepGenerations(
     const std::function<bool(const StorageIdentity&)>& live) {
-  FLOWMOTIF_CHECK(generational_);
   std::lock_guard<std::mutex> lock(gen_mu_);
   auto fresh = std::make_shared<Generation>(max_entries_);
   const Generation* sources[2] = {cur_.get(), prev_.get()};

@@ -57,12 +57,6 @@ Status ValidateQueryOptions(const QueryOptions& options) {
     return Status::InvalidArgument(
         "shared_cache_tier is bound to a different delta");
   }
-  if (options.shared_cache_tier != nullptr &&
-      !options.shared_cache_tier->generational()) {
-    return Status::InvalidArgument(
-        "shared_cache_tier must be generational "
-        "(SharedWindowCache::MakeGenerational)");
-  }
   return Status::OK();
 }
 
@@ -95,15 +89,11 @@ void OverlayPoolError(ThreadPool* pool, Termination* termination) {
   }
 }
 
-EnumerationOptions ToEnumerationOptions(const QueryOptions& options,
-                                        SharedWindowCache* cache,
-                                        QueryControl* control) {
+EnumerationOptions ToEnumerationOptions(const QueryOptions& options) {
   EnumerationOptions eopts;
   eopts.delta = options.delta;
   eopts.phi = options.phi;
   eopts.strict_maximality = options.strict_maximality;
-  eopts.shared_window_cache = cache;
-  eopts.query_control = control;
   return eopts;
 }
 
@@ -360,7 +350,8 @@ int64_t ForEachMatch(const MatchRun& run, QueryControl* control, Body body) {
 /// enumerator's floating bound).
 EnumerationResult TopKRun(const FlowMotifEnumerator& enumerator,
                           SharedFlowThreshold* threshold, const MatchRun& run,
-                          QueryControl* control, TopKCollector* local) {
+                          QueryControl* control, WindowListMru* reader,
+                          TopKCollector* local) {
   EnumerationResult stats;
   WallTimer timer;
   stats.num_structural_matches = ForEachMatch(
@@ -373,7 +364,7 @@ EnumerationResult TopKRun(const FlowMotifEnumerator& enumerator,
               threshold->Observe(v.flow);
               return true;
             },
-            &stats);
+            &stats, reader);
       });
   stats.phase2_seconds = timer.ElapsedSeconds();
   return stats;
@@ -381,11 +372,10 @@ EnumerationResult TopKRun(const FlowMotifEnumerator& enumerator,
 
 /// Checkout pool of DP scratches for kTop1: a P2 batch borrows one for
 /// the duration of its RunOnMatches call, so a worker's successive
-/// batches reuse the same timeline/table buffers instead of
-/// reallocating per batch (window lists live in the per-query
-/// SharedWindowCache, shared by every worker). Scratch contents never
-/// influence results — only where the buffers live — so the checkout
-/// order is free to vary with scheduling.
+/// batches reuse the same timeline/table buffers and window-list reader
+/// instead of reallocating per batch. Scratch contents never influence
+/// results — only where the buffers live — so the checkout order is
+/// free to vary with scheduling.
 class DpScratchPool {
  public:
   std::unique_ptr<MaxFlowDpSearcher::Scratch> Acquire() {
@@ -627,6 +617,7 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
       cell.mode = QueryMode::kCount;
       cell.delta = delta;
       cell.phi = sweep.phis[p];
+      cell.shared_cache_tier = nullptr;  // a tier serves one delta only
       QueryResult cell_result;
       Execute(motif, cell, &matches, &pool, control, &cell_result);
       if (control != nullptr && control->ShouldStop()) {
@@ -653,11 +644,10 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
 void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
                           const MatchList* given, ThreadPool* pool,
                           QueryControl* control, QueryResult* result) const {
-  // One shared window cache per query: every batch of every worker
-  // reads per-match window lists through it (lock-free once built).
-  SharedWindowCache window_cache(options.delta);
-  window_cache.set_query_control(control);
-  window_cache.set_fallback_tier(options.shared_cache_tier);
+  // Every batch reads its window lists through its own reader (a DP
+  // Scratch's for kTop1), backed by the caller's cross-query tier when
+  // one is given.
+  SharedWindowCache* const tier = options.shared_cache_tier;
   // Runs the pipeline with one mode's batch body; returns the shard
   // bound the canonical-prefix fold needs.
   const auto run_pipeline = [&](const BatchFn& batch_fn) {
@@ -671,8 +661,8 @@ void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
   int64_t matches_done = 0;
   switch (options.mode) {
     case QueryMode::kEnumerate: {
-      const FlowMotifEnumerator enumerator(
-          graph_, motif, ToEnumerationOptions(options, &window_cache, control));
+      const FlowMotifEnumerator enumerator(graph_, motif,
+                                           ToEnumerationOptions(options));
       const int64_t limit = options.collect_limit;
       struct Out {
         EnumerationResult stats;
@@ -695,9 +685,10 @@ void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
           };
         }
         WallTimer timer;
+        WindowListMru reader(options.delta, tier, control);
         out.stats.num_structural_matches = ForEachMatch(
             run, control, [&](MatchRef match, int64_t) {
-              enumerator.EnumerateMatch(match, visitor, &out.stats);
+              enumerator.EnumerateMatch(match, visitor, &out.stats, &reader);
             });
         out.stats.phase2_seconds = timer.ElapsedSeconds();
         outputs.Add(run, std::move(out));
@@ -716,9 +707,8 @@ void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
       break;
     }
     case QueryMode::kCount: {
-      InstanceCounter counter(graph_, motif, options.delta, options.phi,
-                              &window_cache);
-      counter.set_query_control(control);
+      const InstanceCounter counter(graph_, motif, options.delta,
+                                    options.phi);
       struct Out {
         InstanceCounter::Result counts;
         double seconds = 0.0;
@@ -727,14 +717,11 @@ void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
       const int64_t stopped = run_pipeline([&](const MatchRun& run) {
         Out out;
         WallTimer timer;
-        // The run-local window MRU keeps consecutive same-pair matches
-        // cheap even when the shared cache declines the pair
-        // (saturation or gated-off memoization).
-        WindowListMru window_mru;
+        WindowListMru reader(options.delta, tier, control);
         out.counts.num_structural_matches = ForEachMatch(
             run, control, [&](MatchRef match, int64_t) {
               out.counts.num_instances +=
-                  counter.CountMatch(match, &out.counts, &window_mru);
+                  counter.CountMatch(match, &out.counts, &reader);
             });
         out.seconds = timer.ElapsedSeconds();
         outputs.Add(run, std::move(out));
@@ -760,8 +747,7 @@ void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
         // the bounded collector is insertion-order-independent and the
         // counters are sums.
         SharedFlowThreshold shared(options.k);
-        EnumerationOptions eopts =
-            ToEnumerationOptions(options, &window_cache, nullptr);
+        EnumerationOptions eopts = ToEnumerationOptions(options);
         eopts.dynamic_min_flow_exclusive = [&shared] {
           return shared.ExclusiveBound();
         };
@@ -769,8 +755,9 @@ void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
         std::mutex mu;
         run_pipeline([&](const MatchRun& run) {
           TopKCollector local(options.k);
+          WindowListMru reader(options.delta, tier);
           const EnumerationResult stats =
-              TopKRun(enumerator, &shared, run, nullptr, &local);
+              TopKRun(enumerator, &shared, run, nullptr, &reader, &local);
           std::lock_guard<std::mutex> lock(mu);
           global.MergeFrom(std::move(local));
           result->stats.MergeFrom(stats);
@@ -789,14 +776,15 @@ void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
         BatchOutputs<Out> outputs;
         const int64_t stopped = run_pipeline([&](const MatchRun& run) {
           SharedFlowThreshold threshold(options.k);
-          EnumerationOptions eopts =
-              ToEnumerationOptions(options, &window_cache, control);
+          EnumerationOptions eopts = ToEnumerationOptions(options);
           eopts.dynamic_min_flow_exclusive = [&threshold] {
             return threshold.ExclusiveBound();
           };
           const FlowMotifEnumerator enumerator(graph_, motif, eopts);
           Out out{TopKCollector(options.k), EnumerationResult()};
-          out.stats = TopKRun(enumerator, &threshold, run, control, &out.local);
+          WindowListMru reader(options.delta, tier, control);
+          out.stats = TopKRun(enumerator, &threshold, run, control, &reader,
+                              &out.local);
           outputs.Add(run, std::move(out));
         });
         matches_done = outputs.Fold(stopped, [&](Out& out) {
@@ -810,7 +798,7 @@ void QueryEngine::Execute(const Motif& motif, const QueryOptions& options,
       break;
     }
     case QueryMode::kTop1: {
-      MaxFlowDpSearcher searcher(graph_, motif, options.delta, &window_cache);
+      MaxFlowDpSearcher searcher(graph_, motif, options.delta, tier);
       searcher.set_query_control(control);
       using DpResult = MaxFlowDpSearcher::Result;
       DpScratchPool scratch_pool;
@@ -887,12 +875,6 @@ void QueryEngine::RunSignificance(const Motif& motif,
   if (!options.skeleton_replay) sopts.max_skeleton_edges = 0;
   sopts.pool = pool;
   sopts.control = control;
-  // Unlike the other modes, the per-query window cache is owned by the
-  // analyzer, not created here: the analyzer's cache is cross-graph
-  // (keyed on timestamp-storage identity), so the window lists it
-  // builds serve the real graph and every permutation of the N+1-graph
-  // ensemble — one cache per Analyze, warm across every task for any
-  // motif shape.
   const SignificanceAnalyzer analyzer(graph_, sopts);
   result->significance = analyzer.Analyze(motif);
   result->stats.num_instances = result->significance.real_count;

@@ -137,11 +137,10 @@ struct SweepResult {
 /// serving layer (DESIGN.md Sec. 11) builds one per admitted request
 /// on the stack, bound to the epoch snapshot captured at admission, so
 /// queries keep running against their snapshot while SealEpoch
-/// publishes new ones. Per-query window caches fall through to the
-/// cross-query tier named by QueryOptions::shared_cache_tier; when
-/// that tier is generational, the per-query cache holds a TierLease
-/// for its lifetime, so every pointer the tier served this query
-/// outlives any concurrent rotation or post-seal sweep.
+/// publishes new ones. Each P2 worker's window-list reader leases the
+/// cross-query tier named by QueryOptions::shared_cache_tier for the
+/// reader's lifetime, so every pointer the tier served it outlives any
+/// concurrent rotation or post-seal sweep.
 class QueryEngine {
  public:
   explicit QueryEngine(const TimeSeriesGraph& graph) : graph_(graph) {}

@@ -70,16 +70,17 @@ struct QueryOptions {
   /// exceeded).
   bool skeleton_replay = true;
 
-  /// Cross-query window-cache tier (non-owning, may be null): a
-  /// long-lived generational SharedWindowCache (MakeGenerational) —
-  /// bound to the SAME delta as this query — that the engine's
-  /// per-query window caches fall through to on a miss
-  /// (core/window_cursor.h). Processed-window lists computed
-  /// by one query are then reused by every later query at that delta
-  /// over the same edge storage. Results stay byte-identical: the tier
-  /// only changes where a list is found, never its contents. Owned by
-  /// the caller (typically serve/QueryService), which must keep it
-  /// alive for the call and drop it when the graph changes identity.
+  /// Cross-query window-list tier (non-owning, may be null): a
+  /// long-lived SharedWindowCache bound to the SAME delta as this
+  /// query. Every P2 worker's WindowListMru reader (one per batch, or
+  /// per DP Scratch for kTop1) leases it for the reader's lifetime and
+  /// reads it directly on a slot miss (core/window_cursor.h), so
+  /// processed-window lists computed by one query are reused by every
+  /// later query at that delta over the same edge storage. Results stay
+  /// byte-identical: the tier only changes where a list is found, never
+  /// its contents. Owned by the caller (typically serve/QueryService),
+  /// which must keep it alive for the call. Ignored by kSignificance
+  /// and RunSweep.
   SharedWindowCache* shared_cache_tier = nullptr;
 
   /// Lifecycle controls (DESIGN.md Sec. 10). All default to inactive;

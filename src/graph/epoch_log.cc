@@ -106,7 +106,54 @@ EpochLog::SealInfo EpochLog::SealEpoch() {
     snapshot_ = next;
   }
   info.graph = std::move(next);
+#ifndef NDEBUG
+  const Status verified = Verify();
+  FLOWMOTIF_CHECK(verified.ok()) << verified;
+#endif
   return info;
+}
+
+Status EpochLog::Verify() const {
+  const auto fail = [](const std::string& what) {
+    return Status::Internal("EpochLog::Verify: " + what);
+  };
+  const std::shared_ptr<const TimeSeriesGraph> graph = Snapshot();
+  Status status = graph->Verify();
+  if (!status.ok()) return status;
+  bool any_published = false;
+  Timestamp published_max = 0;
+  for (const TimeSeriesGraph::PairEdge& pair : graph->pairs()) {
+    const EdgeSeries& series = pair.series;
+    if (series.timestamp_identity().epoch > epoch_) {
+      return fail("series (" + std::to_string(pair.src) + ", " +
+                  std::to_string(pair.dst) + ") is stamped with epoch " +
+                  std::to_string(series.timestamp_identity().epoch) +
+                  " > epoch() " + std::to_string(epoch_));
+    }
+    // Series are time-sorted (checked by the snapshot's Verify).
+    const Timestamp series_max = series.time(series.size() - 1);
+    if (!any_published || series_max > published_max) {
+      published_max = series_max;
+    }
+    any_published = true;
+  }
+  if (any_published && watermark_ < published_max) {
+    return fail("watermark is below a published timestamp");
+  }
+  for (size_t i = 0; i < tail_.size(); ++i) {
+    const InteractionGraph::Edge& e = tail_[i];
+    const std::string at = "tail edge " + std::to_string(i);
+    if (e.src < 0 || e.dst < 0 || e.src >= num_vertices_ ||
+        e.dst >= num_vertices_) {
+      return fail(at + " has a vertex id outside [0, num_vertices())");
+    }
+    if (i > 0 && e.t < tail_[i - 1].t) return fail(at + " is out of time order");
+    if (any_published && e.t < published_max) {
+      return fail(at + " precedes a published timestamp");
+    }
+    if (e.t > watermark_) return fail(at + " is above the watermark");
+  }
+  return Status::OK();
 }
 
 std::shared_ptr<const TimeSeriesGraph> EpochLog::Snapshot() const {

@@ -105,6 +105,16 @@ class EpochLog {
 
   int64_t num_vertices() const { return num_vertices_; }
 
+  /// Checks the log's invariants: the published snapshot passes
+  /// TimeSeriesGraph::Verify; the tail is time-sorted and at or after
+  /// every published timestamp; watermark() is at or above every
+  /// timestamp, published or buffered; every series' identity epoch is
+  /// at most epoch(); every tail vertex id is below num_vertices(). OK
+  /// or Internal naming the first violation. Writer-side (call it where
+  /// Append / SealEpoch may be called); tests call it after every append
+  /// batch and seal, and debug builds CHECK it after SealEpoch.
+  Status Verify() const;
+
  private:
   // Writer state (single writer).
   std::vector<InteractionGraph::Edge> tail_;

@@ -136,11 +136,9 @@ EpochLog::SealInfo QueryService::SealEpoch() {
   // keys already prevent false hits, clearing also reclaims the memory.
   result_cache_.clear();
   for (const auto& tier : tiers_) {
-    if (tier.second->generational()) {
-      tier.second->SweepGenerations([&live](const StorageIdentity& id) {
-        return live.count(id) > 0;
-      });
-    }
+    tier.second->SweepGenerations([&live](const StorageIdentity& id) {
+      return live.count(id) > 0;
+    });
   }
   return info;
 }
@@ -159,9 +157,9 @@ SharedWindowCache* QueryService::TierForDeltaLocked(Timestamp delta) {
   std::unique_ptr<SharedWindowCache>& slot = tiers_[delta];
   if (slot == nullptr) {
     // The tier carries no query control of its own: budget charges ride
-    // each Get call (the per-query control), since one tier serves many
-    // concurrent queries.
-    slot = SharedWindowCache::MakeGenerational(delta,
+    // each reader's lookup (the per-query control), since one tier
+    // serves many concurrent queries.
+    slot = std::make_unique<SharedWindowCache>(delta,
                                                config_.tier_max_entries);
   }
   return slot.get();

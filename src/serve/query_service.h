@@ -35,8 +35,9 @@ namespace flowmotif {
 ///    was live when it was submitted and keeps it alive via shared_ptr,
 ///    so a seal never invalidates an in-flight (or queued) run;
 ///  * a cross-query window-cache tier — one long-lived generational
-///    SharedWindowCache per delta that every query's per-query cache
-///    falls through to. Its StorageIdentity{storage, epoch} keys make
+///    SharedWindowCache per delta that every engine worker's
+///    window-list reader consults on a slot miss. Its
+///    StorageIdentity{storage, epoch} keys make
 ///    entries for series untouched by a seal stay warm across epochs,
 ///    while a post-seal sweep drops entries unreachable from the live
 ///    snapshot (stale lists are never served, memory does not grow
@@ -181,8 +182,10 @@ struct ServiceStats {
   int64_t seals = 0;
   int64_t peak_running = 0;
   int64_t peak_queue_depth = 0;
-  /// Cross-query tier totals over all deltas. A per-query cache miss
-  /// that the tier answers counts as one lookup + one hit here.
+  /// Cross-query tier totals over all deltas. Engine workers read the
+  /// tier directly, but only on a miss of their reader's one-entry
+  /// slot, so these count reader misses (a miss the tier answers is one
+  /// lookup + one hit), not every window-list request.
   int64_t tier_lookups = 0;
   int64_t tier_hits = 0;
   /// Generation rotations across all per-delta tiers.

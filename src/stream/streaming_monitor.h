@@ -164,6 +164,8 @@ class StreamingMotifMonitor {
 
   EpochId epoch() const { return log_.epoch(); }
   Timestamp watermark() const { return log_.watermark(); }
+  /// The monitor's log, read-only (tests check log().Verify()).
+  const EpochLog& log() const { return log_; }
   std::shared_ptr<const TimeSeriesGraph> Snapshot() const {
     return snapshot_;
   }

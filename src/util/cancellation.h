@@ -126,10 +126,10 @@ struct WorkBudget {
 
   /// Maximum window-list elements the query materializes. Charged
   /// uniformly at site "cache.windows" for every processed-window list
-  /// a match brings into existence — through a shared cache, a run-
-  /// local MRU, or a private per-match computation — so the cap holds
-  /// for every motif shape (core/window_cursor.h,
-  /// ChargeComputedWindows). Cache *hits* are not re-charged.
+  /// a match brings into existence — in a cross-query tier or in a
+  /// window-list reader's own slot — so the cap holds for every motif
+  /// shape (core/window_cursor.h, ChargeComputedWindows). Slot and tier
+  /// *hits* are not re-charged.
   int64_t max_window_elements = -1;
 
   /// Soft memory cap in bytes, charged for window-list storage at the
@@ -175,7 +175,7 @@ class QueryControl {
   /// matches plus whatever the throttle admits, never a multiple of it.
   bool CheckAtBoundary(const char* site);
 
-  /// Budget charges from the shared window cache. Thread-safe; the
+  /// Budget charges from window-list materialization. Thread-safe; the
   /// first charge that crosses a limit requests kBudgetExceeded.
   void ChargeWindowElements(int64_t elements, const char* site);
   void ChargeMemoryBytes(int64_t bytes, const char* site);

@@ -111,8 +111,10 @@ TEST(CounterTest, CountMatchSingle) {
   TimeSeriesGraph g = PaperFig2Graph();
   InstanceCounter counter(g, M33(), 10, 7.0);
   InstanceCounter::Result scratch;
-  EXPECT_EQ(counter.CountMatch(MatchBinding{2, 0, 1}, &scratch), 1);  // Fig. 4(a)
-  EXPECT_EQ(counter.CountMatch(MatchBinding{0, 1, 2}, &scratch), 0);
+  WindowListMru reader(10);
+  EXPECT_EQ(counter.CountMatch(MatchBinding{2, 0, 1}, &scratch, &reader),
+            1);  // Fig. 4(a)
+  EXPECT_EQ(counter.CountMatch(MatchBinding{0, 1, 2}, &scratch, &reader), 0);
 }
 
 TEST(CounterDeathTest, NegativeParametersAbort) {

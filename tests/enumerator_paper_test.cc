@@ -101,13 +101,14 @@ std::vector<MotifInstance> CollectFig7(Flow phi) {
   FlowMotifEnumerator enumerator(g, m33, Opts(10, phi));
   std::vector<MotifInstance> out;
   EnumerationResult result;
+  WindowListMru reader(10);
   enumerator.EnumerateMatch(
       Fig7Binding(),
       [&out](const InstanceView& view) {
         out.push_back(view.Materialize());
         return true;
       },
-      &result);
+      &result, &reader);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -186,7 +187,8 @@ TEST(PaperFig7Test, WindowCountersMatchPaperNarrative) {
   TimeSeriesGraph g = PaperFig7Graph();
   FlowMotifEnumerator enumerator(g, M33(), Opts(10, 0.0));
   EnumerationResult result;
-  enumerator.EnumerateMatch(Fig7Binding(), nullptr, &result);
+  WindowListMru reader(10);
+  enumerator.EnumerateMatch(Fig7Binding(), nullptr, &result, &reader);
   EXPECT_EQ(result.num_windows_processed, 2);
   EXPECT_EQ(result.num_instances, 4);
 }

@@ -46,6 +46,11 @@ void ExpectVerified(const TimeSeriesGraph& g, const std::string& label) {
   EXPECT_TRUE(status.ok()) << label << ": " << status;
 }
 
+void ExpectLogVerified(const EpochLog& log, const std::string& label) {
+  const Status status = log.Verify();
+  EXPECT_TRUE(status.ok()) << label << ": " << status;
+}
+
 TEST(EpochGraphTest, ExtendWithEqualsBatchBuildAndSharesUntouchedStorage) {
   const TimeSeriesGraph base = MakeGraph({
       {0, 1, 5, 2.0}, {0, 1, 9, 1.0}, {1, 2, 7, 3.0}, {2, 0, 8, 4.0},
@@ -92,6 +97,7 @@ TEST(EpochGraphTest, SealedEpochsMatchBatchPrefixBuilds) {
   ASSERT_TRUE(seed.AddEdge(0, 1, 1, 2.0).ok());
   ASSERT_TRUE(seed.AddEdge(1, 2, 3, 1.0).ok());
   EpochLog log(seed);
+  ExpectLogVerified(log, "seed");
   std::vector<InteractionGraph::Edge> all = {
       {0, 1, 1, 2.0}, {1, 2, 3, 1.0},
   };
@@ -106,7 +112,9 @@ TEST(EpochGraphTest, SealedEpochsMatchBatchPrefixBuilds) {
       log.Append(edge);
       all.push_back(edge);
     }
+    ExpectLogVerified(log, "tail " + std::to_string(e + 1));
     const EpochLog::SealInfo info = log.SealEpoch();
+    ExpectLogVerified(log, "seal " + std::to_string(e + 1));
     ASSERT_EQ(info.epoch, e + 1);
     ASSERT_EQ(info.num_appended, epochs[e].size());
     InteractionGraph prefix;
@@ -138,7 +146,9 @@ TEST(EpochGraphTest, SealedEpochsMatchBatchPrefixBuilds) {
   EXPECT_EQ(log.tail_size(), 0u);
   EXPECT_EQ(log.watermark(), watermark_before);
   ASSERT_TRUE(log.Append(0, 1, 20, 1.0).ok());
+  ExpectLogVerified(log, "after rejected appends");
   const EpochLog::SealInfo after = log.SealEpoch();
+  ExpectLogVerified(log, "after reseal");
   EXPECT_EQ(after.num_appended, 1u);
   EXPECT_EQ(after.watermark, 20);
 }
@@ -160,7 +170,9 @@ TEST(EpochGraphTest, AppendRejectsNonFiniteFlowWithoutMutating) {
   // A finite append at the same time still goes through.
   ASSERT_TRUE(log.Append(1, 2, 20, 3.0).ok());
   EXPECT_EQ(log.watermark(), 20);
+  ExpectLogVerified(log, "tail");
   const EpochLog::SealInfo info = log.SealEpoch();
+  ExpectLogVerified(log, "seal");
   EXPECT_EQ(info.num_appended, 2u);
 }
 
@@ -179,7 +191,9 @@ TEST(EpochGraphTest, TimeSlicesCutExactlyAtEpochBoundaries) {
   };
   for (const std::vector<InteractionGraph::Edge>& epoch : epochs) {
     for (const InteractionGraph::Edge& edge : epoch) log.Append(edge);
+    ExpectLogVerified(log, "tail");
     const EpochLog::SealInfo info = log.SealEpoch();
+    ExpectLogVerified(log, "seal");
     snapshots.push_back(info.graph);
     watermarks.push_back(info.watermark);
   }
@@ -210,7 +224,9 @@ TEST(EpochGraphTest, SaveReloadAndResealContinuesTheStream) {
   log.Append(1, 2, 5, 1.0);
   log.SealEpoch();
   log.Append(2, 0, 8, 4.0);
+  ExpectLogVerified(log, "tail");
   const EpochLog::SealInfo sealed = log.SealEpoch();
+  ExpectLogVerified(log, "seal");
 
   const std::string path = ::testing::TempDir() + "/epoched_graph.txt";
   ASSERT_TRUE(SaveTimeSeriesGraph(*sealed.graph, path).ok());
@@ -225,7 +241,9 @@ TEST(EpochGraphTest, SaveReloadAndResealContinuesTheStream) {
   ASSERT_EQ(resumed.watermark(), sealed.watermark);
   resumed.Append(0, 1, 9, 5.0);
   resumed.Append(3, 1, 11, 1.0);
+  ExpectLogVerified(resumed, "resumed tail");
   const EpochLog::SealInfo resealed = resumed.SealEpoch();
+  ExpectLogVerified(resumed, "resumed seal");
   const TimeSeriesGraph batch = MakeGraph({
       {0, 1, 3, 2.0}, {1, 2, 5, 1.0}, {2, 0, 8, 4.0},
       {0, 1, 9, 5.0}, {3, 1, 11, 1.0},

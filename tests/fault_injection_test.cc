@@ -341,9 +341,9 @@ TEST_F(FaultInjectionTest, MaxMatchesBudgetTruncatesToExactPrefix) {
 }
 
 TEST_F(FaultInjectionTest, WindowElementBudgetStopsThroughCache) {
-  // The cache-routed flavour of the window budget: M(5,4) has an
-  // interior node, so its window lists materialize through the shared
-  // cache and the charge lands on the cache-insert path.
+  // The window budget on an interior-node motif: M(5,4) matches share
+  // (first, last) pairs, some of them served from the reader's slot;
+  // the first computed list already crosses the cap.
   const Workload& w = SharedWorkload();
   const QueryEngine engine(w.graph);
   const Motif motif = *MotifCatalog::ByName("M(5,4)");
@@ -365,14 +365,11 @@ TEST_F(FaultInjectionTest, WindowElementBudgetStopsThroughCache) {
 }
 
 TEST_F(FaultInjectionTest, WindowBudgetHoldsForNonInteriorMotifs) {
-  // Regression: the window/memory budget used to be charged only at
-  // SharedWindowCache materialization, and the engine routes through
-  // the cache only for motifs with an interior node — so M(2,1)/M(3,2)
-  // computed their window lists privately, entirely unbudgeted. The
-  // charge now lands uniformly at "cache.windows" for every list a
-  // match materializes, cached or private, so the cap binds for every
-  // motif shape. This test fails on the pre-fix engine (the query
-  // completes as if no budget were set).
+  // Regression: the window/memory budget was once charged only where a
+  // shared cache materialized a list, which non-interior motifs such
+  // as M(2,1)/M(3,2) never used, so their lists went unbudgeted. Every
+  // list a match materializes is charged at "cache.windows", so the
+  // cap binds for every motif shape.
   const Workload& w = SharedWorkload();  // M(3,2): no interior node
   const QueryEngine engine(w.graph);
   for (QueryMode mode : {QueryMode::kCount, QueryMode::kEnumerate}) {
@@ -736,12 +733,12 @@ TEST_F(FaultInjectionTest, InvalidOptionsRejectedWithoutCrash) {
   EXPECT_EQ(result2.termination.code, TerminationCode::kError);
   EXPECT_EQ(result2.termination.status.code(), StatusCode::kInvalidArgument);
 
-  // A cross-query tier must be generational.
-  SharedWindowCache saturating_tier(w.delta);
+  // A cross-query tier bound to another delta.
+  SharedWindowCache other_delta_tier(w.delta + 1);
   QueryOptions bad_tier;
   bad_tier.mode = QueryMode::kCount;
   bad_tier.delta = w.delta;
-  bad_tier.shared_cache_tier = &saturating_tier;
+  bad_tier.shared_cache_tier = &other_delta_tier;
   const QueryResult result3 = engine.Run(w.motif, bad_tier);
   EXPECT_EQ(result3.termination.code, TerminationCode::kError);
   EXPECT_EQ(result3.termination.status.code(), StatusCode::kInvalidArgument);

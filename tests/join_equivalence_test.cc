@@ -1,11 +1,11 @@
 // Cross-checks the rewritten join baseline (core/join_baseline.cc:
 // cursor-built quintuple tables, binary-searched canonical-start
-// groups, SharedWindowCache anchor novelty) against the two-phase
-// engine, so the Fig. 8 "join vs two-phase" comparisons stay
+// groups, run-local anchor-novelty window lists) against the
+// two-phase engine, so the Fig. 8 "join vs two-phase" comparisons stay
 // apples-to-apples: both sides must produce the identical instance
 // set, hence identical counts (kCount) and identical top-k flows
 // (kTopK), on a corpus of seeded random graphs, for every engine
-// thread count and for injected and run-local window caches alike.
+// thread count.
 #include "core/join_baseline.h"
 
 #include <gtest/gtest.h>
@@ -134,35 +134,6 @@ TEST(JoinEquivalenceTest, TopKFlowsMatchEngineOnRandomGraphs) {
       }
     }
   }
-}
-
-TEST(JoinEquivalenceTest, InjectedCacheMatchesRunLocalCache) {
-  // The join must produce the identical result whether it builds a
-  // run-local window cache, shares an injected per-query cache (warm
-  // or cold), or runs against a saturated cache that declines every
-  // new pair.
-  const TimeSeriesGraph graph = RandomGraph(42, 5, 80, 50);
-  const Motif motif = *MotifCatalog::ByName("M(4,3)");
-  constexpr Timestamp kDelta = 10;
-  const JoinMotifEnumerator plain(graph, motif, kDelta, /*phi=*/2.0);
-  const JoinMotifEnumerator::Result expected = plain.Run();
-
-  SharedWindowCache cache(kDelta);
-  const JoinMotifEnumerator cached(graph, motif, kDelta, /*phi=*/2.0,
-                                   &cache);
-  for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
-    const JoinMotifEnumerator::Result got = cached.Run();
-    EXPECT_EQ(got.num_instances, expected.num_instances) << pass;
-    EXPECT_EQ(got.num_quintuples, expected.num_quintuples) << pass;
-    EXPECT_EQ(got.num_partials, expected.num_partials) << pass;
-  }
-
-  SharedWindowCache tiny(kDelta, /*max_entries=*/1);
-  const JoinMotifEnumerator saturated(graph, motif, kDelta, /*phi=*/2.0,
-                                      &tiny);
-  const JoinMotifEnumerator::Result got = saturated.Run();
-  EXPECT_EQ(got.num_instances, expected.num_instances);
-  EXPECT_LE(tiny.size(), 1u);
 }
 
 TEST(JoinEquivalenceTest, PaperGraphAgreesWithEngine) {

@@ -415,5 +415,75 @@ TEST(ParallelEquivalenceTest, RunOnMatchesEqualsRunInEveryMode) {
   }
 }
 
+TEST(ParallelEquivalenceTest, TierBackedRunsEqualTierlessRuns) {
+  // With QueryOptions::shared_cache_tier every P2 worker's window-list
+  // reader leases the tier and reads it on a slot miss. Neither a
+  // default tier (shared by every run of a workload, so later runs read
+  // lists earlier runs published) nor a one-entry-per-generation tier
+  // (rotating under the readers' leases) may change any answer.
+  for (const Workload& w : Workloads()) {
+    QueryEngine engine(w.graph);
+    const size_t num_matches = AllMatches(w).size();
+    SharedWindowCache warm_tier(w.delta);
+    for (QueryMode mode : {QueryMode::kEnumerate, QueryMode::kCount,
+                           QueryMode::kTopK, QueryMode::kTop1}) {
+      for (int threads : {1, 4}) {
+        QueryOptions options;
+        options.mode = mode;
+        options.delta = w.delta;
+        options.phi = mode == QueryMode::kTop1 ? 0.0 : w.phi;
+        options.k = 10;
+        options.collect_limit = -1;
+        options.num_threads = threads;
+        const QueryResult plain = engine.Run(w.motif, options);
+        SharedWindowCache tiny_tier(w.delta, /*max_entries=*/1);
+        for (SharedWindowCache* tier : {&warm_tier, &tiny_tier}) {
+          options.shared_cache_tier = tier;
+          const QueryResult tiered = engine.Run(w.motif, options);
+          SCOPED_TRACE(w.motif.name() + " mode " +
+                       std::to_string(static_cast<int>(mode)) +
+                       " threads=" + std::to_string(threads) +
+                       (tier == &tiny_tier ? " tiny tier" : " warm tier"));
+          EnumerationResult tiered_stats = tiered.stats;
+          if (mode == QueryMode::kTopK && threads > 1) {
+            // Domination probes run behind the floating threshold,
+            // whose tightening depends on worker timing (see
+            // QueryResult); num_pruning_probes is not compared either.
+            tiered_stats.num_domination_skips =
+                plain.stats.num_domination_skips;
+          }
+          ExpectSameCounters(tiered_stats, plain.stats);
+          EXPECT_EQ(tiered.num_batches, plain.num_batches);
+          EXPECT_EQ(tiered.threads_used, plain.threads_used);
+          EXPECT_EQ(tiered.memo_hits, plain.memo_hits);
+          EXPECT_EQ(tiered.instances, plain.instances);
+          ASSERT_EQ(tiered.topk.size(), plain.topk.size());
+          for (size_t i = 0; i < plain.topk.size(); ++i) {
+            EXPECT_EQ(tiered.topk[i].flow, plain.topk[i].flow) << i;
+            EXPECT_EQ(tiered.topk[i].instance, plain.topk[i].instance) << i;
+          }
+          EXPECT_EQ(tiered.top1.found, plain.top1.found);
+          EXPECT_EQ(tiered.top1.max_flow, plain.top1.max_flow);
+          EXPECT_EQ(tiered.top1.best, plain.top1.best);
+          EXPECT_EQ(tiered.top1.binding, plain.top1.binding);
+          EXPECT_EQ(tiered.top1.window.start, plain.top1.window.start);
+          EXPECT_EQ(tiered.top1.window.end, plain.top1.window.end);
+          EXPECT_EQ(tiered.top1.num_windows, plain.top1.num_windows);
+          EXPECT_EQ(tiered.top1.matches_processed,
+                    plain.top1.matches_processed);
+          EXPECT_EQ(tiered.termination.code, plain.termination.code);
+          EXPECT_TRUE(tiered.termination.complete());
+        }
+        // Every match binds its own (first, last) pair in these motifs,
+        // so two matches are two distinct tier inserts.
+        if (num_matches >= 2) {
+          EXPECT_GT(tiny_tier.num_rotations(), 0);
+        }
+      }
+    }
+    EXPECT_GT(warm_tier.num_lookups(), 0);
+  }
+}
+
 }  // namespace
 }  // namespace flowmotif

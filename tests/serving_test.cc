@@ -179,10 +179,9 @@ TEST(ServingTest, ConcurrentMixedQueriesAreByteIdenticalToSoloRuns) {
 
 TEST(ServingTest, CacheTierServesRepeatedQueriesOfNonInteriorMotifs) {
   // M(3,2) has no interior node: within one query no (first, last) pair
-  // repeats, so a per-query cache alone never pays. Across queries the
-  // pairs DO repeat — the tier makes the motif cache-eligible
-  // (ShouldUseWindowCache's has_fallback_tier arm) and the second
-  // identical query's window lists come out of the tier.
+  // repeats, so every reader slot misses and asks the tier. Across
+  // queries the pairs DO repeat, so the second identical query's
+  // window lists all come out of the tier.
   ServiceConfig config;
   config.num_workers = 1;  // serial, deterministic hit accounting
   config.enable_dedup = false;

@@ -1,7 +1,6 @@
 // Byte-identical equivalence of the significance ensemble pass
-// (permutations drawn once from the seeded stream, one cross-graph
-// SharedWindowCache, skeleton replay or the counting recursion per
-// motif) against a retained pre-refactor reference: deep-copying
+// (permutations drawn once from the seeded stream, skeleton replay or
+// the counting recursion per motif) against a retained pre-refactor reference: deep-copying
 // WithPermutedFlows (fresh timestamp/topology storage per randomized
 // graph) plus per-graph enumeration with no shared cache. Real counts,
 // random counts, z-scores, and p-values must match exactly across ~50
@@ -176,7 +175,7 @@ TEST(SignificanceEquivalenceTest, CatalogMotifsOnSeededGraphs) {
 
 // Reference P1 {once, per graph} x engine pools {1, 2, 4, 8}: the
 // parallel pass must equal the serial copying reference for interior
-// and non-interior motifs alike (the cross-graph cache serves both).
+// and non-interior motifs alike.
 TEST(SignificanceEquivalenceTest, ThreadAndReuseSweep) {
   const std::vector<Motif> motifs = {*MotifCatalog::ByName("M(3,3)"),
                                      *MotifCatalog::ByName("M(4,3)"),

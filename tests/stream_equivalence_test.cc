@@ -67,14 +67,10 @@ Schedule MakeSchedule(uint64_t seed_value) {
   return schedule;
 }
 
-InteractionGraph BuildMultigraph(
-    const std::vector<InteractionGraph::Edge>& edges) {
-  InteractionGraph multigraph;
-  for (const InteractionGraph::Edge& e : edges) {
-    const Status status = multigraph.AddEdge(e.src, e.dst, e.t, e.f);
-    ASSERT_TRUE(status.ok()) << status, multigraph;
-  }
-  return multigraph;
+void ExpectLogVerified(const StreamingMotifMonitor& monitor,
+                       const std::string& label) {
+  const Status status = monitor.log().Verify();
+  EXPECT_TRUE(status.ok()) << label << ": " << status;
 }
 
 /// Per-epoch check: the monitor's live aggregates against batch runs on
@@ -212,7 +208,9 @@ TEST(StreamEquivalenceTest, EveryEpochMatchesBatchOnPrefixGraph) {
           monitor.Append(e);
           prefix.push_back(e);
         }
+        ExpectLogVerified(monitor, "tail");
         const StreamingMotifMonitor::EpochStats stats = monitor.SealEpoch();
+        ExpectLogVerified(monitor, "seal");
         ASSERT_EQ(stats.num_appended, schedule.epochs[epoch].size());
         ExpectEpochMatchesBatch(
             monitor, c.motif, prefix,
@@ -234,6 +232,7 @@ TEST(StreamEquivalenceTest, MonitorOverEmptyStreamStartsEmpty) {
   EXPECT_EQ(monitor.epoch(), 0u);
   // Sealing with nothing buffered is a published no-op.
   const StreamingMotifMonitor::EpochStats stats = monitor.SealEpoch();
+  ExpectLogVerified(monitor, "empty seal");
   EXPECT_EQ(stats.num_appended, 0u);
   EXPECT_EQ(monitor.TotalInstances(), 0);
 }
@@ -257,7 +256,9 @@ TEST(StreamEquivalenceTest, EmptyStreamGrowsIntoBatchEquivalence) {
     monitor.Append(edges[i]);
     prefix.push_back(edges[i]);
     if (i % 2 == 1 || i + 1 == edges.size()) {
+      ExpectLogVerified(monitor, "tail");
       monitor.SealEpoch();
+      ExpectLogVerified(monitor, "seal");
       ExpectEpochMatchesBatch(monitor, motif, prefix,
                               "growing edge " + std::to_string(i));
       if (::testing::Test::HasFatalFailure()) return;
@@ -289,12 +290,15 @@ TEST(StreamEquivalenceTest, AlertsFireExactlyOnceAtSettlement) {
   for (const InteractionGraph::Edge& e : edges) {
     monitor.Append(e);
     prefix.push_back(e);
+    ExpectLogVerified(monitor, "tail");
     monitor.SealEpoch();
+    ExpectLogVerified(monitor, "seal");
   }
   // Push the watermark far past every window so everything settles.
   monitor.Append(0, 1, 1000, 1.0);
   prefix.push_back({0, 1, 1000, 1.0});
   monitor.SealEpoch();
+  ExpectLogVerified(monitor, "final seal");
 
   // Reference: all instances of the final graph with flow >= bound.
   InteractionGraph multigraph;
@@ -338,7 +342,9 @@ TEST(StreamEquivalenceTest, MalformedAppendIsRejectedAndStateUnchanged) {
 
   ASSERT_TRUE(monitor.Append(0, 1, 5, 2.0).ok());
   ASSERT_TRUE(monitor.Append(1, 2, 7, 3.0).ok());
+  ExpectLogVerified(monitor, "tail");
   monitor.SealEpoch();
+  ExpectLogVerified(monitor, "seal");
   const int64_t total_before = monitor.TotalInstances();
   const Timestamp watermark_before = monitor.watermark();
 
@@ -355,7 +361,9 @@ TEST(StreamEquivalenceTest, MalformedAppendIsRejectedAndStateUnchanged) {
             StatusCode::kInvalidArgument);
 
   EXPECT_EQ(monitor.watermark(), watermark_before);
+  ExpectLogVerified(monitor, "after rejected appends");
   const StreamingMotifMonitor::EpochStats stats = monitor.SealEpoch();
+  ExpectLogVerified(monitor, "no-op seal");
   EXPECT_EQ(stats.num_appended, 0u);
   EXPECT_EQ(monitor.TotalInstances(), total_before);
 
@@ -363,7 +371,9 @@ TEST(StreamEquivalenceTest, MalformedAppendIsRejectedAndStateUnchanged) {
   // stays batch-equivalent.
   ASSERT_TRUE(monitor.Append(0, 1, 9, 1.0).ok());
   ASSERT_TRUE(monitor.Append(1, 2, 14, 2.0).ok());
+  ExpectLogVerified(monitor, "tail after rejections");
   monitor.SealEpoch();
+  ExpectLogVerified(monitor, "seal after rejections");
   const std::vector<InteractionGraph::Edge> prefix = {
       {0, 1, 5, 2.0}, {1, 2, 7, 3.0}, {0, 1, 9, 1.0}, {1, 2, 14, 2.0}};
   ExpectEpochMatchesBatch(monitor, motif, prefix, "after rejections");

@@ -202,7 +202,9 @@ TEST(StructuralMatchTest, PerUnitScansConcatenateToFindAll) {
     for (const Motif& motif : PathAndGeneralMotifs()) {
       const StructuralMatcher matcher(g, motif);
       const std::vector<MatchBinding> all = matcher.FindAllMatches();
-      if (!motif.is_path()) EXPECT_FALSE(all.empty()) << motif.name();
+      if (!motif.is_path()) {
+        EXPECT_FALSE(all.empty()) << motif.name();
+      }
       std::vector<MatchBinding> per_unit;
       for (int64_t u = 0; u < matcher.NumWorkUnits(); ++u) {
         for (MatchBinding& m : Collect(matcher, u, u + 1)) {

@@ -1,9 +1,11 @@
-// Property tests of core/window_cursor.h's SharedWindowCache: lists
-// served from the cache are identical to uncached ComputeProcessedWindows
-// results under concurrent readers (threads {2, 4, 8}), racing inserts
-// of the same pair deduplicate to one stable pointer, and the size cap
-// saturates — Get declines new pairs without ever evicting one a
-// reader may still hold.
+// Property tests of core/window_cursor.h's window-list readers and
+// their cross-query tier: lists served through a WindowListMru (with or
+// without a tier) and through leased tier lookups are identical to
+// uncached ComputeProcessedWindows results under concurrent readers
+// (threads {2, 4, 8}), racing inserts of the same pair deduplicate to
+// one stable pointer, saturated generations rotate instead of
+// declining, and a lease keeps every pointer it was served valid across
+// rotations and sweeps.
 #include "core/window_cursor.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +18,8 @@
 #include "core/sliding_window.h"
 #include "graph/time_series_graph.h"
 #include "test_util.h"
+#include "util/cancellation.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 
 namespace flowmotif {
@@ -60,12 +64,14 @@ TEST(SharedWindowCacheTest, ServesExactWindowLists) {
   const TimeSeriesGraph graph = RandomGraph(11, 5, 70, 40);
   for (const Timestamp delta : {Timestamp{0}, Timestamp{5}, Timestamp{20}}) {
     SharedWindowCache cache(delta);
+    SharedWindowCache::TierLease lease = cache.AcquireTierLease();
     for (const auto& [first, last] : AllSeriesPairs(graph)) {
-      const std::vector<Window>* cached = cache.Get(*first, *last);
+      const std::vector<Window>* cached =
+          cache.LeasedGet(&lease, *first, *last);
       ASSERT_NE(cached, nullptr);
       EXPECT_EQ(*cached, ComputeProcessedWindows(*first, *last, delta));
       // A second lookup returns the very same published list.
-      EXPECT_EQ(cache.Get(*first, *last), cached);
+      EXPECT_EQ(cache.LeasedGet(&lease, *first, *last), cached);
     }
   }
 }
@@ -94,14 +100,15 @@ TEST(SharedWindowCacheTest, ConcurrentReadersSeeIdenticalLists) {
       // Each thread starts at a different offset so builds and reads of
       // the same pair interleave across threads.
       threads.emplace_back([&, t] {
+        SharedWindowCache::TierLease lease = cache.AcquireTierLease();
         const size_t n = pairs.size();
         for (int round = 0; round < 3; ++round) {
           for (size_t i = 0; i < n; ++i) {
             const size_t at = (i + static_cast<size_t>(t) * n /
                                        static_cast<size_t>(num_threads)) %
                               n;
-            const std::vector<Window>* got =
-                cache.Get(*pairs[at].first, *pairs[at].second);
+            const std::vector<Window>* got = cache.LeasedGet(
+                &lease, *pairs[at].first, *pairs[at].second);
             if (got == nullptr || *got != expected[at]) {
               mismatches.fetch_add(1, std::memory_order_relaxed);
             }
@@ -116,9 +123,10 @@ TEST(SharedWindowCacheTest, ConcurrentReadersSeeIdenticalLists) {
 }
 
 TEST(SharedWindowCacheTest, RacingInsertsDeduplicateToOnePointer) {
-  // All threads request the same single pair; whoever loses the CAS
-  // race must adopt the winner's list, so every thread ends up with the
-  // one published pointer and the size counter settles at 1.
+  // All threads request the same single pair, each through its own
+  // lease; whoever loses the CAS race must adopt the winner's list, so
+  // every thread ends up with the one published pointer and the size
+  // counter settles at 1.
   const TimeSeriesGraph graph = RandomGraph(31, 4, 50, 30);
   const EdgeSeries& first = graph.pair(0).series;
   const EdgeSeries& last =
@@ -130,8 +138,10 @@ TEST(SharedWindowCacheTest, RacingInsertsDeduplicateToOnePointer) {
         static_cast<size_t>(num_threads), nullptr);
     std::vector<std::thread> threads;
     for (int t = 0; t < num_threads; ++t) {
-      threads.emplace_back(
-          [&, t] { seen[static_cast<size_t>(t)] = cache.Get(first, last); });
+      threads.emplace_back([&, t] {
+        SharedWindowCache::TierLease lease = cache.AcquireTierLease();
+        seen[static_cast<size_t>(t)] = cache.LeasedGet(&lease, first, last);
+      });
     }
     for (std::thread& thread : threads) thread.join();
     for (int t = 0; t < num_threads; ++t) {
@@ -140,41 +150,6 @@ TEST(SharedWindowCacheTest, RacingInsertsDeduplicateToOnePointer) {
     }
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(*seen[0], ComputeProcessedWindows(first, last, 10));
-  }
-}
-
-TEST(SharedWindowCacheTest, SizeCapSaturatesWithoutEvicting) {
-  const TimeSeriesGraph graph = RandomGraph(47, 6, 80, 40);
-  const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
-      AllSeriesPairs(graph);
-  constexpr size_t kCap = 4;
-  ASSERT_GT(pairs.size(), kCap);
-
-  SharedWindowCache cache(/*delta=*/6, kCap);
-  // The first kCap distinct pairs publish; remember their pointers.
-  std::vector<const std::vector<Window>*> published;
-  for (size_t i = 0; i < kCap; ++i) {
-    const std::vector<Window>* got =
-        cache.Get(*pairs[i].first, *pairs[i].second);
-    ASSERT_NE(got, nullptr);
-    published.push_back(got);
-  }
-  EXPECT_EQ(cache.size(), kCap);
-
-  // Every further pair is declined — never published, never evicting.
-  for (size_t i = kCap; i < pairs.size(); ++i) {
-    EXPECT_EQ(cache.Get(*pairs[i].first, *pairs[i].second), nullptr);
-  }
-  EXPECT_EQ(cache.size(), kCap);
-
-  // The original entries survive saturation, at their original
-  // addresses, with their original contents.
-  for (size_t i = 0; i < kCap; ++i) {
-    const std::vector<Window>* got =
-        cache.Get(*pairs[i].first, *pairs[i].second);
-    EXPECT_EQ(got, published[i]);
-    EXPECT_EQ(*got,
-              ComputeProcessedWindows(*pairs[i].first, *pairs[i].second, 6));
   }
 }
 
@@ -190,16 +165,15 @@ TEST(SharedWindowCacheTest, EnsembleViewsHitTheSameEntries) {
   const TimeSeriesGraph view_b = graph.WithPermutedFlows(&rng);
   constexpr Timestamp kDelta = 9;
 
-  SharedWindowCache cache(kDelta, SharedWindowCache::kDefaultMaxEntries,
-                          /*cross_graph=*/true);
-  EXPECT_TRUE(cache.cross_graph());
+  SharedWindowCache cache(kDelta);
+  SharedWindowCache::TierLease lease = cache.AcquireTierLease();
 
   const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
       AllSeriesPairs(graph);
   std::vector<const std::vector<Window>*> published;
   published.reserve(pairs.size());
   for (const auto& [first, last] : pairs) {
-    published.push_back(cache.Get(*first, *last));
+    published.push_back(cache.LeasedGet(&lease, *first, *last));
     ASSERT_NE(published.back(), nullptr);
   }
   const size_t size_after_real = cache.size();
@@ -213,7 +187,7 @@ TEST(SharedWindowCacheTest, EnsembleViewsHitTheSameEntries) {
       const size_t b = i % static_cast<size_t>(graph.num_pairs());
       const EdgeSeries& first = view->pair(a).series;
       const EdgeSeries& last = view->pair(b).series;
-      EXPECT_EQ(cache.Get(first, last), published[i])
+      EXPECT_EQ(cache.LeasedGet(&lease, first, last), published[i])
           << "view pair " << a << "," << b;
     }
   }
@@ -242,12 +216,12 @@ TEST(SharedWindowCacheTest, ConcurrentEnsembleReadersSeeIdenticalLists) {
   }
 
   for (int num_threads : {2, 4, 8}) {
-    SharedWindowCache cache(kDelta, SharedWindowCache::kDefaultMaxEntries,
-                            /*cross_graph=*/true);
+    SharedWindowCache cache(kDelta);
     std::atomic<int64_t> mismatches{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < num_threads; ++t) {
       threads.emplace_back([&, t] {
+        SharedWindowCache::TierLease lease = cache.AcquireTierLease();
         const TimeSeriesGraph& mine = *graphs[static_cast<size_t>(t) % 3];
         const size_t np = static_cast<size_t>(mine.num_pairs());
         for (int round = 0; round < 3; ++round) {
@@ -256,7 +230,8 @@ TEST(SharedWindowCacheTest, ConcurrentEnsembleReadersSeeIdenticalLists) {
                 (i + static_cast<size_t>(t) * 7) % (np * np);
             const EdgeSeries& first = mine.pair(at / np).series;
             const EdgeSeries& last = mine.pair(at % np).series;
-            const std::vector<Window>* got = cache.Get(first, last);
+            const std::vector<Window>* got =
+                cache.LeasedGet(&lease, first, last);
             if (got == nullptr || *got != expected[at]) {
               mismatches.fetch_add(1, std::memory_order_relaxed);
             }
@@ -270,98 +245,10 @@ TEST(SharedWindowCacheTest, ConcurrentEnsembleReadersSeeIdenticalLists) {
   }
 }
 
-TEST(SharedWindowCacheTest, SaturationNeverEvictsUnderIdentityKey) {
-  // Cap saturation with ensemble traffic: entries won by real-graph
-  // pairs survive, view lookups of those pairs still hit at the original
-  // addresses, and pairs beyond the cap are declined for every graph of
-  // the ensemble without evicting anything.
-  const TimeSeriesGraph graph = RandomGraph(71, 6, 80, 40);
-  Rng rng(29);
-  const TimeSeriesGraph view = graph.WithPermutedFlows(&rng);
-  const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
-      AllSeriesPairs(graph);
-  constexpr size_t kCap = 4;
-  constexpr Timestamp kDelta = 6;
-  ASSERT_GT(pairs.size(), kCap);
-
-  SharedWindowCache cache(kDelta, kCap, /*cross_graph=*/true);
-  std::vector<const std::vector<Window>*> published;
-  for (size_t i = 0; i < kCap; ++i) {
-    const std::vector<Window>* got =
-        cache.Get(*pairs[i].first, *pairs[i].second);
-    ASSERT_NE(got, nullptr);
-    published.push_back(got);
-  }
-  EXPECT_EQ(cache.size(), kCap);
-
-  const auto np = static_cast<size_t>(graph.num_pairs());
-  // Beyond the cap: declined, from the real graph and the view alike.
-  for (size_t i = kCap; i < pairs.size(); ++i) {
-    EXPECT_EQ(cache.Get(*pairs[i].first, *pairs[i].second), nullptr);
-    EXPECT_EQ(cache.Get(view.pair(i / np).series, view.pair(i % np).series),
-              nullptr);
-  }
-  EXPECT_EQ(cache.size(), kCap);
-
-  // The winners survive saturation at their original addresses — also
-  // when requested through the view's series.
-  for (size_t i = 0; i < kCap; ++i) {
-    EXPECT_EQ(cache.Get(*pairs[i].first, *pairs[i].second), published[i]);
-    EXPECT_EQ(cache.Get(view.pair(i / np).series, view.pair(i % np).series),
-              published[i]);
-  }
-}
-
-TEST(SharedWindowCacheTest, ConcurrentReadersUnderTinyCap) {
-  // Saturation under concurrency: whatever subset wins the slots, every
-  // non-null answer must still be exact and the size must respect the
-  // cap at all times.
-  const TimeSeriesGraph graph = RandomGraph(53, 6, 90, 50);
-  const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
-      AllSeriesPairs(graph);
-  constexpr Timestamp kDelta = 12;
-  constexpr size_t kCap = 3;
-
-  std::vector<std::vector<Window>> expected;
-  expected.reserve(pairs.size());
-  for (const auto& [first, last] : pairs) {
-    expected.push_back(ComputeProcessedWindows(*first, *last, kDelta));
-  }
-
-  for (int num_threads : {2, 4, 8}) {
-    SharedWindowCache cache(kDelta, kCap);
-    std::atomic<int64_t> mismatches{0};
-    std::atomic<int64_t> cap_violations{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&, t] {
-        const size_t n = pairs.size();
-        for (size_t i = 0; i < 2 * n; ++i) {
-          const size_t at = (i * 31 + static_cast<size_t>(t) * 7) % n;
-          const std::vector<Window>* got =
-              cache.Get(*pairs[at].first, *pairs[at].second);
-          if (got != nullptr && *got != expected[at]) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (cache.size() > kCap) {
-            cap_violations.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-    EXPECT_EQ(mismatches.load(), 0) << "threads=" << num_threads;
-    EXPECT_EQ(cap_violations.load(), 0) << "threads=" << num_threads;
-    EXPECT_LE(cache.size(), kCap);
-    EXPECT_GT(cache.size(), 0u);
-  }
-}
-
-TEST(SharedWindowCacheTest, GenerationalServesExactListsUnderForcedRotation) {
-  // A generational cache with a tiny per-generation cap is driven over a
-  // key population far larger than the cap: every answer must still be
-  // the exact uncached list, and the traffic must have forced rotations
-  // (a saturating cache would have declined instead).
+TEST(SharedWindowCacheTest, ServesExactListsUnderForcedRotation) {
+  // A tier with a tiny per-generation cap is driven over a key
+  // population far larger than the cap: every answer must still be the
+  // exact uncached list, and the traffic must have forced rotations.
   const TimeSeriesGraph graph = RandomGraph(83, 6, 90, 50);
   const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
       AllSeriesPairs(graph);
@@ -370,8 +257,7 @@ TEST(SharedWindowCacheTest, GenerationalServesExactListsUnderForcedRotation) {
   ASSERT_GT(pairs.size(), 2 * kCap);
 
   std::unique_ptr<SharedWindowCache> cache =
-      SharedWindowCache::MakeGenerational(kDelta, kCap);
-  EXPECT_TRUE(cache->generational());
+      std::make_unique<SharedWindowCache>(kDelta, kCap);
   SharedWindowCache::TierLease lease = cache->AcquireTierLease();
   ASSERT_TRUE(lease.active());
 
@@ -391,8 +277,8 @@ TEST(SharedWindowCacheTest, LeaseRetainsPointersAcrossRotations) {
   // Every pointer LeasedGet ever returned stays valid — with its
   // original contents — for the lease's whole lifetime, even after the
   // generations that own those nodes rotate out of the publication
-  // path. This is the property the serving layer's per-query caches
-  // rely on when the shared tier rotates underneath a running query.
+  // path. This is the property every window-list reader relies on when
+  // the shared tier rotates underneath a running query.
   const TimeSeriesGraph graph = RandomGraph(89, 6, 90, 50);
   const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
       AllSeriesPairs(graph);
@@ -400,7 +286,7 @@ TEST(SharedWindowCacheTest, LeaseRetainsPointersAcrossRotations) {
   constexpr size_t kCap = 2;
 
   std::unique_ptr<SharedWindowCache> cache =
-      SharedWindowCache::MakeGenerational(kDelta, kCap);
+      std::make_unique<SharedWindowCache>(kDelta, kCap);
   SharedWindowCache::TierLease lease = cache->AcquireTierLease();
 
   std::vector<const std::vector<Window>*> served;
@@ -431,7 +317,7 @@ TEST(SharedWindowCacheTest, PromotedPrevHitSurvivesRotationUntouchedDoesNot) {
   constexpr Timestamp kDelta = 10;
 
   std::unique_ptr<SharedWindowCache> cache =
-      SharedWindowCache::MakeGenerational(kDelta, /*max_entries=*/2);
+      std::make_unique<SharedWindowCache>(kDelta, /*max_entries=*/2);
   SharedWindowCache::TierLease lease = cache->AcquireTierLease();
 
   // Generation 1 fills with {target, B}; C saturates it and rotates.
@@ -481,7 +367,7 @@ TEST(SharedWindowCacheTest, SweepGenerationsKeepsLiveDropsDead) {
   constexpr Timestamp kDelta = 8;
 
   std::unique_ptr<SharedWindowCache> cache =
-      SharedWindowCache::MakeGenerational(kDelta, /*max_entries=*/256);
+      std::make_unique<SharedWindowCache>(kDelta, /*max_entries=*/256);
   SharedWindowCache::TierLease old_lease = cache->AcquireTierLease();
   std::vector<const std::vector<Window>*> served;
   for (const auto& [first, last] : pairs) {
@@ -528,8 +414,8 @@ TEST(SharedWindowCacheTest, SweepGenerationsKeepsLiveDropsDead) {
 TEST(SharedWindowCacheTest, ConcurrentLeasedReadersUnderTinyCap) {
   // Several threads, each with its own lease, hammer a key population
   // far beyond the per-generation cap so rotations race with lookups,
-  // promotions, and inserts. Every answer must be non-null (a
-  // generational cache never declines) and exact.
+  // promotions, and inserts. Every answer must be non-null (a tier
+  // rotates rather than declining) and exact.
   const TimeSeriesGraph graph = RandomGraph(101, 6, 90, 50);
   const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
       AllSeriesPairs(graph);
@@ -544,7 +430,7 @@ TEST(SharedWindowCacheTest, ConcurrentLeasedReadersUnderTinyCap) {
 
   for (int num_threads : {2, 4}) {
     std::unique_ptr<SharedWindowCache> cache =
-        SharedWindowCache::MakeGenerational(kDelta, kCap);
+        std::make_unique<SharedWindowCache>(kDelta, kCap);
     std::atomic<int64_t> mismatches{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < num_threads; ++t) {
@@ -566,6 +452,128 @@ TEST(SharedWindowCacheTest, ConcurrentLeasedReadersUnderTinyCap) {
     for (std::thread& thread : threads) thread.join();
     EXPECT_EQ(mismatches.load(), 0) << "threads=" << num_threads;
     EXPECT_GT(cache->num_rotations(), 0) << "threads=" << num_threads;
+  }
+}
+
+TEST(WindowListMruTest, ServesExactListsWithAndWithoutTier) {
+  // Each pair is requested twice in a row, as a run of matches sharing
+  // a (first, last) pair would: the first request of a run misses the
+  // slot (and asks the tier, when there is one), the second is a slot
+  // hit that never reaches the tier. A one-entry-per-generation tier
+  // rotates on almost every miss and must still serve exact lists.
+  const TimeSeriesGraph graph = RandomGraph(13, 5, 70, 40);
+  const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
+      AllSeriesPairs(graph);
+  for (const Timestamp delta : {Timestamp{0}, Timestamp{5}, Timestamp{20}}) {
+    SharedWindowCache tier(delta, /*max_entries=*/1);
+    WindowListMru tierless(delta);
+    WindowListMru tiered(delta, &tier);
+    for (const auto& [first, last] : pairs) {
+      const std::vector<Window> expected =
+          ComputeProcessedWindows(*first, *last, delta);
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        EXPECT_EQ(tierless.Get(*first, *last), expected);
+        EXPECT_EQ(tiered.Get(*first, *last), expected);
+      }
+    }
+    // Consecutive distinct entries of AllSeriesPairs never share both
+    // series, so every run's first request is exactly one tier lookup.
+    EXPECT_EQ(tier.num_lookups(), static_cast<int64_t>(pairs.size()))
+        << "delta=" << delta;
+    EXPECT_GT(tier.num_rotations(), 0) << "delta=" << delta;
+  }
+}
+
+TEST(WindowListMruTest, SlotKeysOnTimestampIdentity) {
+  // A run of matches crossing from the real graph to a flow-permuted
+  // view of it keeps its slot hit: the view's series share the real
+  // series' timestamp identity, so the tier is not asked again.
+  const TimeSeriesGraph graph = RandomGraph(19, 5, 70, 40);
+  Rng rng(5);
+  const TimeSeriesGraph view = graph.WithPermutedFlows(&rng);
+  constexpr Timestamp kDelta = 9;
+  SharedWindowCache tier(kDelta);
+  WindowListMru reader(kDelta, &tier);
+  const size_t last = static_cast<size_t>(graph.num_pairs()) - 1;
+  const std::vector<Window> expected = ComputeProcessedWindows(
+      graph.pair(0).series, graph.pair(last).series, kDelta);
+  EXPECT_EQ(reader.Get(graph.pair(0).series, graph.pair(last).series),
+            expected);
+  EXPECT_EQ(tier.num_lookups(), 1);
+  EXPECT_EQ(reader.Get(view.pair(0).series, view.pair(last).series),
+            expected);
+  EXPECT_EQ(tier.num_lookups(), 1);
+}
+
+TEST(WindowListMruTest, LeaseKeepsSlotValidAcrossRotationAndSweep) {
+  // A reader's slot may point into a tier generation. Another reader
+  // then forces rotations past it and a sweep drops every entry; the
+  // first reader's lease must keep that list alive and unchanged (ASan
+  // turns a premature free into a failure), and asking again for the
+  // same pair is a slot hit.
+  const TimeSeriesGraph graph = RandomGraph(37, 6, 90, 50);
+  const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
+      AllSeriesPairs(graph);
+  constexpr Timestamp kDelta = 10;
+  SharedWindowCache tier(kDelta, /*max_entries=*/2);
+  WindowListMru held(kDelta, &tier);
+  const EdgeSeries& first = *pairs.front().first;
+  const EdgeSeries& last = *pairs.front().second;
+  const std::vector<Window>& slot = held.Get(first, last);
+  const std::vector<Window> expected =
+      ComputeProcessedWindows(first, last, kDelta);
+  ASSERT_EQ(slot, expected);
+
+  {
+    WindowListMru churn(kDelta, &tier);
+    for (const auto& [a, b] : pairs) churn.Get(*a, *b);
+  }
+  ASSERT_GT(tier.num_rotations(), 0);
+  tier.SweepGenerations([](const StorageIdentity&) { return false; });
+  EXPECT_EQ(tier.size(), 0u);
+
+  EXPECT_EQ(slot, expected);
+  const int64_t lookups = tier.num_lookups();
+  EXPECT_EQ(&held.Get(first, last), &slot);
+  EXPECT_EQ(tier.num_lookups(), lookups);
+}
+
+TEST(WindowListMruTest, BillsEveryComputedListAndNoSlotHit) {
+  // The reader's control is billed at "cache.windows" once per list it
+  // materializes — computed into its slot, or published into the tier
+  // on its behalf — and never for a slot hit. A budget of exactly one
+  // list's elements holds through repeated hits and trips on the next
+  // computed list.
+  const TimeSeriesGraph graph = RandomGraph(43, 5, 70, 40);
+  constexpr Timestamp kDelta = 20;
+  const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
+      AllSeriesPairs(graph);
+  // Two consecutive pairs with non-empty lists.
+  std::vector<size_t> nonempty;
+  for (size_t i = 0; i < pairs.size() && nonempty.size() < 2; ++i) {
+    if (!ComputeProcessedWindows(*pairs[i].first, *pairs[i].second, kDelta)
+             .empty()) {
+      nonempty.push_back(i);
+    }
+  }
+  ASSERT_EQ(nonempty.size(), 2u);
+  const auto& [a_first, a_last] = pairs[nonempty[0]];
+  const auto& [b_first, b_last] = pairs[nonempty[1]];
+  const int64_t a_size = static_cast<int64_t>(
+      ComputeProcessedWindows(*a_first, *a_last, kDelta).size());
+
+  for (const bool with_tier : {false, true}) {
+    WorkBudget budget;
+    budget.max_window_elements = a_size;
+    QueryControl control(nullptr, QueryDeadline(), budget);
+    SharedWindowCache tier(kDelta);
+    WindowListMru reader(kDelta, with_tier ? &tier : nullptr, &control);
+    for (int repeat = 0; repeat < 3; ++repeat) reader.Get(*a_first, *a_last);
+    EXPECT_FALSE(control.ShouldStop()) << "with_tier=" << with_tier;
+    reader.Get(*b_first, *b_last);
+    EXPECT_TRUE(control.ShouldStop()) << "with_tier=" << with_tier;
+    EXPECT_EQ(control.Finish().stopped_at, failpoint::kCacheWindows)
+        << "with_tier=" << with_tier;
   }
 }
 
