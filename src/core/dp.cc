@@ -24,11 +24,14 @@ void MaxFlowDpSearcher::CheckScratch(Scratch* scratch) const {
     return;
   }
   // Cursor state and buffers are per-run, but guarding the binding
-  // keeps a Scratch from silently crossing graphs, deltas or tiers.
+  // keeps a Scratch from silently crossing graphs, deltas or tiers, or
+  // billing a query control other than this searcher's.
   FLOWMOTIF_CHECK(scratch->bound_graph == &graph_ &&
                   scratch->windows->delta() == delta_ &&
-                  scratch->windows->tier() == tier_)
-      << "DP Scratch reused across a different graph, delta or tier";
+                  scratch->windows->tier() == tier_ &&
+                  scratch->windows->control() == query_control_)
+      << "DP Scratch reused across a different graph, delta, tier or "
+         "query control";
 }
 
 const std::vector<Window>& MaxFlowDpSearcher::BeginMatch(

@@ -71,7 +71,8 @@ class MaxFlowDpSearcher {
   /// so the buffers survive batch boundaries.
   ///
   /// A Scratch is bound to one searcher configuration (graph, delta,
-  /// tier) on first use and checked on every run. Scratch reuse never
+  /// tier, query control) on first use and checked on every run: reuse
+  /// across searchers that differ in any of them aborts. Scratch reuse never
   /// changes results: all per-window state is fully overwritten.
   struct Scratch {
     // Per-match series resolution (ResolveSeries target, one motif edge
@@ -97,7 +98,7 @@ class MaxFlowDpSearcher {
     std::optional<WindowListMru> windows;
 
     // First-use binding guarding against accidental reuse across
-    // incompatible searchers (delta and tier are the reader's).
+    // incompatible searchers (delta, tier and control are the reader's).
     const TimeSeriesGraph* bound_graph = nullptr;
   };
 
@@ -141,7 +142,8 @@ class MaxFlowDpSearcher {
   /// tier or in its own slot — is billed against its WorkBudget at site
   /// "cache.windows". QueryControl is internally synchronized, so one
   /// searcher shared across workers charges safely. Set before the
-  /// first run; must outlive every run.
+  /// first run (a Scratch already bound to another control aborts);
+  /// must outlive every run.
   void set_query_control(QueryControl* control) { query_control_ = control; }
 
  private:

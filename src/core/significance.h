@@ -42,7 +42,11 @@ namespace flowmotif {
 ///      over it. A motif whose recording was skipped or exceeded the
 ///      trace budget is counted instead by the counting recursion
 ///      (InstanceCounter) over its matches on a TimeSeriesGraph::WithFlows
-///      view built from the same draw.
+///      view built from the same draw. Its window lists depend only on
+///      timestamps, which every view shares, so the counting readers of
+///      all tasks sit in front of one ensemble-scoped SharedWindowCache
+///      tier: each (first, last) list is computed once per ensemble,
+///      not once per graph.
 ///
 /// Counts are integers computed per task, so every report is
 /// byte-identical for any thread count, any motif set and any set order
@@ -142,9 +146,10 @@ class SignificanceAnalyzer {
 
   /// Instance count of `motif` on one graph of the ensemble by the
   /// counting recursion over the prepared matches — the route for
-  /// motifs without a recorded skeleton.
+  /// motifs without a recorded skeleton. `tier` is the ensemble's
+  /// window-list tier, read behind this call's own reader.
   int64_t CountOn(const TimeSeriesGraph& target, const Motif& motif,
-                  const MatchList& matches) const;
+                  const MatchList& matches, SharedWindowCache* tier) const;
 
   /// Summary statistics over the first `tasks_completed` per-task
   /// counts (index 0 = real). Fills graphs_completed and, when the

@@ -24,6 +24,26 @@ namespace {
 /// What one anchor of the processed-window scan decided.
 enum class ScanStep { kSkip, kEmit, kExhausted };
 
+/// Inline cursor steps before a move switches to galloping.
+constexpr int kLinearProbes = 4;
+
+/// First index >= c of `last` with time > t (kPast) or >= t (!kPast).
+/// Consecutive anchors usually move the R(em) cursor a few elements,
+/// where inline steps beat a call; a sparse R(e1) against a dense R(em)
+/// moves it far, where the gallop pays O(log gap) instead of the gap.
+template <bool kPast>
+inline size_t AdvanceCursor(const EdgeSeries& last, size_t c, Timestamp t) {
+  const size_t n = last.size();
+  const auto behind = [&](size_t i) {
+    return kPast ? last.time(i) <= t : last.time(i) < t;
+  };
+  for (int probe = 0; probe < kLinearProbes; ++probe) {
+    if (c == n || !behind(c)) return c;
+    ++c;
+  }
+  return kPast ? last.AdvanceUpperBound(c, t) : last.AdvanceLowerBound(c, t);
+}
+
 /// One anchor of the novelty scan over R(em), shared by every scan loop
 /// below: skips a duplicate anchor timestamp, advances the monotone
 /// R(em) cursor, and decides whether the window [anchor, anchor + delta]
@@ -33,7 +53,9 @@ enum class ScanStep { kSkip, kEmit, kExhausted };
 /// previous processed end ("any element in (prev_end, end]"). Anchors
 /// and window ends are both non-decreasing, and prev_end >= the anchor
 /// that set it, so the cursor never moves backwards when the rule
-/// switches — a whole scan is O(|R(e1)| + |R(em)|). kExhausted means
+/// switches. Long cursor moves gallop, so a whole scan is
+/// O(min(|R(e1)| + |R(em)|, |R(e1)| log |R(em)|)): a sparse R(e1)
+/// against a dense R(em) no longer walks all of R(em). kExhausted means
 /// the cursor ran off R(em): no later anchor of this series pair can
 /// produce a novel window either. On kEmit the caller appends
 /// Window{anchor, state->prev_end}; `state->anchor_idx` is the caller's.
@@ -44,18 +66,17 @@ inline ScanStep NoveltyStep(const EdgeSeries& last, Timestamp anchor,
   // at exactly that timestamp, which was then dropped as a "duplicate"
   // and whose `anchor - 1` probe underflowed.
   const Timestamp end = WindowEndSaturating(anchor, delta);
-  const size_t num_last = last.size();
   size_t c = state->em_cursor;
   if (state->have_processed) {
     if (anchor == state->prev_anchor) {
       return ScanStep::kSkip;  // duplicate anchor timestamp
     }
-    while (c < num_last && last.time(c) <= state->prev_end) ++c;
+    c = AdvanceCursor</*kPast=*/true>(last, c, state->prev_end);
   } else {
-    while (c < num_last && last.time(c) < anchor) ++c;
+    c = AdvanceCursor</*kPast=*/false>(last, c, anchor);
   }
   state->em_cursor = c;
-  if (c >= num_last) return ScanStep::kExhausted;
+  if (c >= last.size()) return ScanStep::kExhausted;
   if (last.time(c) > end) return ScanStep::kSkip;
   state->prev_end = end;
   state->prev_anchor = anchor;

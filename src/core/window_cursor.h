@@ -126,7 +126,8 @@ class TimelineOffsets {
 /// last) *timestamp-storage identities* of the series pair
 /// (EdgeSeries::timestamp_identity()). It sits behind the per-worker
 /// WindowListMru readers and is read only on their slot misses: the
-/// serving layer keeps one per delta across queries and seals, and a
+/// serving layer keeps one per delta across queries and seals, the
+/// significance analyzer one per ensemble for its counting route, and a
 /// caller may hand one to a single query (QueryOptions::
 /// shared_cache_tier) or a skeleton recording.
 ///
@@ -278,8 +279,9 @@ class SharedWindowCache {
 /// evaluation path: enumerator, counter, DP, skeleton recording, the
 /// engine and the serving layer all read ComputeProcessedWindows output
 /// through a reader (the join baseline, whose frontier interleaves
-/// pairs, keeps a run-local map instead). A reader is per-worker state — one engine batch, one DP
-/// Scratch, one recording — and is not thread-safe.
+/// pairs, keeps a run-local map instead). A reader is per-worker
+/// state — one engine batch, one DP Scratch, one recording, one
+/// significance counting task — and is not thread-safe.
 ///
 /// It keeps the last list it served in a one-entry slot. Matches arrive
 /// in runs sharing a (first, last) pair — the P1 DFS varies interior
@@ -305,6 +307,7 @@ class WindowListMru {
 
   Timestamp delta() const { return delta_; }
   const SharedWindowCache* tier() const { return tier_; }
+  const QueryControl* control() const { return control_; }
 
  private:
   Timestamp delta_;

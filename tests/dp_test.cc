@@ -4,9 +4,12 @@
 
 #include <vector>
 
+#include "core/match_list.h"
 #include "core/motif.h"
+#include "core/structural_match.h"
 #include "core/topk.h"
 #include "test_util.h"
+#include "util/cancellation.h"
 
 namespace flowmotif {
 namespace {
@@ -132,6 +135,32 @@ TEST(DpTest, WindowCountsReported) {
   MaxFlowDpSearcher::Result result = searcher.RunOnMatch(Fig7Binding());
   EXPECT_EQ(result.num_windows, 2);
   EXPECT_GE(result.seconds, 0.0);
+}
+
+TEST(DpTest, ScratchBoundToOneQueryControl) {
+  TimeSeriesGraph graph = PaperFig2Graph();
+  const MatchList matches = StructuralMatcher(graph, M33()).FindMatchList();
+  QueryControl first(nullptr, QueryDeadline(), WorkBudget());
+  QueryControl second(nullptr, QueryDeadline(), WorkBudget());
+  MaxFlowDpSearcher searcher(graph, M33(), 10);
+  searcher.set_query_control(&first);
+  MaxFlowDpSearcher::Scratch scratch;
+  const MaxFlowDpSearcher::Result once =
+      searcher.RunOnMatches(matches, 0, matches.size(), &scratch);
+  // Same configuration: the Scratch is reusable and results repeat.
+  const MaxFlowDpSearcher::Result again =
+      searcher.RunOnMatches(matches, 0, matches.size(), &scratch);
+  EXPECT_EQ(once.found, again.found);
+  EXPECT_DOUBLE_EQ(once.max_flow, again.max_flow);
+  // Another control (or a later set_query_control) would leave the
+  // reader billing the first one: the reuse aborts instead.
+  MaxFlowDpSearcher other(graph, M33(), 10);
+  other.set_query_control(&second);
+  EXPECT_DEATH(other.RunOnMatches(matches, 0, matches.size(), &scratch),
+               "query control");
+  searcher.set_query_control(&second);
+  EXPECT_DEATH(searcher.RunOnMatches(matches, 0, matches.size(), &scratch),
+               "query control");
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/enumerator.h"
+#include "core/match_list.h"
 #include "core/motif_catalog.h"
 #include "core/structural_match.h"
 #include "graph/interaction_graph.h"
@@ -333,6 +334,51 @@ TEST(SignificanceEquivalenceTest, AnalyzeAllMixesReplayedAndCountedMotifs) {
     ExpectReportsEqual(expected_small, backward[1], context + " reversed");
     EXPECT_FALSE(backward[0].used_skeleton_replay) << context;
     EXPECT_TRUE(backward[1].used_skeleton_replay) << context;
+  }
+}
+
+// The counting route reads an ensemble tier only when every distinct
+// (first, last) series pair of the counted motifs fits it (4096 lists,
+// core/significance.cc); above that its tasks read no tier. Both sides
+// must equal the replay route, serially and with a pool.
+TEST(SignificanceEquivalenceTest, CountingRouteEqualsReplayAroundTierCapacity) {
+  const Motif motif = *MotifCatalog::ByName("M(3,2)");
+  for (const int num_vertices : {12, 400}) {
+    const TimeSeriesGraph graph =
+        RandomGraph(53, num_vertices, 15 * num_vertices, 200);
+    // Pin which side of the capacity each graph is on.
+    std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs;
+    const MatchList matches = StructuralMatcher(graph, motif).FindMatchList();
+    for (size_t i = 0; i < matches.size(); ++i) {
+      pairs.emplace_back(graph.FindSeries(matches[i][0], matches[i][1]),
+                         graph.FindSeries(matches[i][1], matches[i][2]));
+    }
+    std::sort(pairs.begin(), pairs.end());
+    const size_t num_pairs = static_cast<size_t>(
+        std::unique(pairs.begin(), pairs.end()) - pairs.begin());
+    if (num_vertices == 12) {
+      ASSERT_LE(num_pairs, 4096u);
+    } else {
+      ASSERT_GT(num_pairs, 4096u);
+    }
+
+    SignificanceAnalyzer::Options replayed = BaseOptions(53);
+    replayed.delta = 20;
+    SignificanceAnalyzer::Options counted = replayed;
+    counted.max_skeleton_edges = 0;
+    const SignificanceAnalyzer::MotifReport expected =
+        SignificanceAnalyzer(graph, replayed).Analyze(motif);
+    ASSERT_TRUE(expected.used_skeleton_replay);
+    for (const int threads : {0, 4}) {
+      ThreadPool pool(std::max(1, threads));
+      counted.pool = threads > 0 ? &pool : nullptr;
+      const SignificanceAnalyzer::MotifReport report =
+          SignificanceAnalyzer(graph, counted).Analyze(motif);
+      EXPECT_FALSE(report.used_skeleton_replay);
+      ExpectReportsEqual(expected, report,
+                         "vertices=" + std::to_string(num_vertices) +
+                             " threads=" + std::to_string(threads));
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/motif_catalog.h"
+#include "core/window_cursor.h"
 #include "engine/query_engine.h"
 #include "engine/query_options.h"
 #include "graph/interaction_graph.h"
@@ -131,6 +132,34 @@ TEST(SweepEquivalenceTest, ForcedRecordingBypassStillMatches) {
   EXPECT_EQ(without_replay.num_fallback_cells, 6);
   EXPECT_EQ(with_replay.num_structural_matches,
             without_replay.num_structural_matches);
+}
+
+TEST(SweepEquivalenceTest, FallbackCellsIgnoreATierOfAnotherDelta) {
+  // A tier serves the one delta it is bound to. The fallback cells of
+  // the other deltas must not read it: that would serve them another
+  // delta's window lists (wrong counts) or trip the reader's delta
+  // check. Every cell equals the tierless run.
+  const SweepQuery sweep{{0, 4, 9, 15}, {0.0, 2.0, 4.0, 7.0}};
+  const TimeSeriesGraph graph = RandomGraph(5, 6, 90, 50);
+  const QueryEngine engine(graph);
+  for (const char* name : {"M(3,3)", "M(4,3)", "M(5,4)"}) {
+    const Motif motif = *MotifCatalog::ByName(name);
+    for (const int threads : {1, 4}) {
+      QueryOptions plain;
+      plain.num_threads = threads;
+      plain.skeleton_replay = false;
+      const SweepResult reference = engine.RunSweep(motif, sweep, plain);
+      SharedWindowCache tier(/*delta=*/9);
+      QueryOptions tiered = plain;
+      tiered.shared_cache_tier = &tier;
+      const SweepResult result = engine.RunSweep(motif, sweep, tiered);
+      EXPECT_EQ(result.termination.code, TerminationCode::kCompleted) << name;
+      EXPECT_EQ(result.counts, reference.counts)
+          << name << " threads=" << threads;
+      EXPECT_EQ(result.num_fallback_cells,
+                static_cast<int64_t>(result.counts.size()));
+    }
+  }
 }
 
 TEST(SweepEquivalenceTest, SingleCellGridEqualsOnePointQuery) {
