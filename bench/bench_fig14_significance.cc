@@ -24,6 +24,17 @@
 //    motif against the same ensemble.
 //  * permute_only — WithPermutedFlows generation alone: the storage
 //    split turns full-graph copies into flow-array views.
+//  * draw_full / draw_sparse — the replay route's per-task draw: N full
+//    keyed draws + FillFromFlows against N extent fills for the recorded
+//    M(5,4) skeleton, on the facebook preset at its default delta (the
+//    data the study workload analyzes). CI gates the pair same-run
+//    (sparse at most half of full): the extent fill is a structural win
+//    host drift cannot move. Not on the hub graph: there M(5,4) ends on
+//    the hub edge, every window reads the hub block up to its end, and
+//    the extent covers 99.9% of the arena.
+//  * hub_fanin_counted — the hub M(5,4) analysis with no skeleton
+//    (max_skeleton_edges = 0): the counting route, its full per-task
+//    draws and the ensemble window tier.
 //
 // Run with --benchmark_out_format=json; the CI perf step compares
 // real_time per benchmark name against the committed BENCH_baseline.json
@@ -35,6 +46,9 @@
 
 #include "core/motif_catalog.h"
 #include "core/significance.h"
+#include "core/skeleton.h"
+#include "core/structural_match.h"
+#include "gen/presets.h"
 #include "graph/interaction_graph.h"
 #include "graph/time_series_graph.h"
 #include "util/logging.h"
@@ -107,6 +121,14 @@ const TimeSeriesGraph& HubFanInGraph() {
 const TimeSeriesGraph& DenseRingGraph() {
   static const TimeSeriesGraph* graph =
       new TimeSeriesGraph(MakeRing(8, 1200, 11));
+  return *graph;
+}
+
+/// The facebook preset at scale 1, the shape the study workload
+/// analyzes (there at scale 4).
+const TimeSeriesGraph& FacebookGraph() {
+  static const TimeSeriesGraph* graph = new TimeSeriesGraph(
+      GenerateDataset(GetPreset(DatasetKind::kFacebook)));
   return *graph;
 }
 
@@ -189,19 +211,81 @@ BENCHMARK(BM_Fig14Significance_AnalyzeAll)
     ->Arg(30000)
     ->Unit(benchmark::kMillisecond);
 
-/// Ensemble generation alone: kNumRandomGraphs WithPermutedFlows calls
-/// from one serial RNG stream, exactly as the analyzer draws them.
+/// Ensemble generation alone: the kNumRandomGraphs flow views
+/// WithPermutedFlows(seed, i) of the analyzer's null model.
 void BM_Fig14Significance_PermuteOnly(benchmark::State& state) {
   const TimeSeriesGraph& graph = HubFanInGraph();
   for (auto _ : state) {
-    Rng rng(424242);
-    for (int i = 0; i < kNumRandomGraphs; ++i) {
-      const TimeSeriesGraph permuted = graph.WithPermutedFlows(&rng);
+    for (uint64_t i = 1; i <= kNumRandomGraphs; ++i) {
+      const TimeSeriesGraph permuted = graph.WithPermutedFlows(424242, i);
       benchmark::DoNotOptimize(permuted.num_pairs());
     }
   }
 }
 BENCHMARK(BM_Fig14Significance_PermuteOnly)->Unit(benchmark::kMillisecond);
+
+/// The hub M(5,4) analysis on the counting route: no skeleton is
+/// recorded, so every task draws its full permutation and counts on a
+/// flow view, with window lists from the ensemble tier.
+void BM_Fig14Significance_HubFanInCounted(benchmark::State& state) {
+  SignificanceAnalyzer::Options options =
+      AnalyzerOptions(state.range(0), /*phi=*/6.0);
+  options.max_skeleton_edges = 0;
+  const SignificanceAnalyzer analyzer(HubFanInGraph(), options);
+  const Motif motif = *MotifCatalog::ByName("M(5,4)");
+  for (auto _ : state) {
+    const SignificanceAnalyzer::MotifReport report = analyzer.Analyze(motif);
+    benchmark::DoNotOptimize(report.real_count);
+  }
+}
+BENCHMARK(BM_Fig14Significance_HubFanInCounted)
+    ->Arg(30000)
+    ->Unit(benchmark::kMillisecond);
+
+/// kNumRandomGraphs full keyed draws, each laid out by FillFromFlows:
+/// the per-task cost of a replay route that fills the whole arena.
+void BM_Fig14Significance_DrawFull(benchmark::State& state) {
+  const TimeSeriesGraph& graph = FacebookGraph();
+  const FlowPermutationStream draws(graph, 424242);
+  FlowPrefixArena arena;
+  std::vector<Flow> flows;
+  for (auto _ : state) {
+    for (uint64_t i = 1; i <= kNumRandomGraphs; ++i) {
+      draws.DrawInto(i, &flows);
+      arena.FillFromFlows(graph, flows);
+      benchmark::DoNotOptimize(arena.data());
+    }
+  }
+}
+BENCHMARK(BM_Fig14Significance_DrawFull)->Unit(benchmark::kMillisecond);
+
+/// kNumRandomGraphs extent fills of the same draws for the M(5,4)
+/// skeleton recorded at the preset's default delta: the replay route's
+/// per-task cost.
+void BM_Fig14Significance_DrawSparse(benchmark::State& state) {
+  const TimeSeriesGraph& graph = FacebookGraph();
+  const Motif motif = *MotifCatalog::ByName("M(5,4)");
+  EnumerationSkeleton skeleton;
+  FLOWMOTIF_CHECK(skeleton.Record(
+      graph, motif, GetPreset(DatasetKind::kFacebook).default_delta,
+      StructuralMatcher(graph, motif).FindMatchList(), /*tier=*/nullptr,
+      EnumerationSkeleton::Options()));
+  const FlowPermutationStream draws(graph, 424242);
+  FlowPrefixArena arena;
+  for (auto _ : state) {
+    for (uint64_t i = 1; i <= kNumRandomGraphs; ++i) {
+      arena.FillFromDraw(graph, draws, i, skeleton.extents());
+      benchmark::DoNotOptimize(arena.data());
+    }
+  }
+  size_t read = 0;
+  for (const PrefixExtent& extent : skeleton.extents()) {
+    read += extent.last - extent.begin + 1;
+  }
+  state.counters["read_frac"] = benchmark::Counter(
+      static_cast<double>(read) / static_cast<double>(arena.size()));
+}
+BENCHMARK(BM_Fig14Significance_DrawSparse)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace flowmotif

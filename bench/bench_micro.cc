@@ -11,6 +11,7 @@
 //    unit scan, gated < 10% the same way.
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/counter.h"
@@ -24,6 +25,7 @@
 #include "graph/edge_series.h"
 #include "util/cancellation.h"
 #include "util/failpoint.h"
+#include "util/logging.h"
 #include "util/random.h"
 
 namespace flowmotif {
@@ -37,7 +39,9 @@ EdgeSeries MakeSeries(size_t n) {
     t += 1 + static_cast<Timestamp>(rng.NextBounded(20));
     interactions.push_back({t, 1.0 + static_cast<Flow>(rng.NextBounded(9))});
   }
-  return EdgeSeries(interactions);
+  StatusOr<EdgeSeries> series = EdgeSeries::Create(std::move(interactions));
+  FLOWMOTIF_CHECK(series.ok()) << series.status();
+  return *std::move(series);
 }
 
 // Args: {series length, query window width in ticks}. Narrow windows

@@ -1,6 +1,7 @@
 #include "core/significance.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <set>
 #include <utility>
@@ -83,9 +84,9 @@ SignificanceAnalyzer::PreparedMotif SignificanceAnalyzer::Prepare(
       StructuralMatcher(graph_, motif).FindMatchList(options_.pool);
   if (options_.max_skeleton_edges == 0) return prepared;
 
-  // The recording consults no flows and no RNG, so a bypass (trace
-  // budget) leaves the motif to the counting route with the seeded
-  // stream untouched.
+  // The recording consults no flows, and draws are keyed on (seed,
+  // task), so a bypass (trace budget) leaves the motif to the counting
+  // route over the very same randomized graphs.
   EnumerationSkeleton::Options sk_options;
   sk_options.max_edges = options_.max_skeleton_edges;
   sk_options.query_control = options_.control;
@@ -175,78 +176,84 @@ std::vector<SignificanceAnalyzer::MotifReport> SignificanceAnalyzer::AnalyzeAll(
   SharedWindowCache* const tier =
       ensemble_tier.has_value() ? &*ensemble_tier : nullptr;
 
-  // Steps 2 and 3: one pass over the ensemble in waves of pool width.
-  // Per-slot state (flow buffer, arena, one replayer per recorded
-  // motif) persists across waves, so only the first wave allocates.
+  // Steps 2 and 3: the N+1 ensemble tasks. Task t >= 1 counts on draw
+  // t of the keyed null model, which it evaluates itself: a draw
+  // depends only on (seed, t), so the counts are the same for any pool
+  // size, motif set or task order. The replay route fills only the
+  // prefix blocks the recorded motifs read.
   const int64_t num_tasks = options_.num_random_graphs + 1;  // 0 = real
-  const int64_t wave_width =
-      options_.pool != nullptr
-          ? std::max<int64_t>(1, options_.pool->num_threads())
-          : 1;
-  const auto num_slots = static_cast<size_t>(wave_width);
-  std::vector<std::vector<Flow>> slot_flows(num_slots);
-  std::vector<FlowPrefixArena> arenas(num_slots);
-  std::vector<std::optional<SkeletonReplayer>> replayers(num_slots *
-                                                         num_motifs);
-  for (size_t slot = 0; slot < num_slots; ++slot) {
+  std::vector<PrefixExtent> extents;
+  for (const PreparedMotif& p : prepared) {
+    if (p.skeleton.recorded()) {
+      UnionPrefixExtents(p.skeleton.extents(), &extents);
+    }
+  }
+  const FlowPermutationStream draws(graph_, options_.seed);
+
+  // One lane per worker, each claiming tasks in order from a shared
+  // cursor with its own scratch (arena, one replayer per recorded
+  // motif, the counting route's flow vector), so at most pool-width of
+  // each exist and a lane's later tasks reuse its allocations.
+  struct LaneScratch {
+    FlowPrefixArena arena;
+    std::vector<std::optional<SkeletonReplayer>> replayers;  // per motif
+    std::vector<Flow> flows;
+  };
+  const int64_t num_lanes =
+      options_.pool != nullptr ? std::max(1, options_.pool->num_threads()) : 1;
+  std::vector<LaneScratch> lanes(static_cast<size_t>(num_lanes));
+  for (LaneScratch& lane : lanes) {
+    lane.replayers.resize(num_motifs);
     for (size_t m = 0; m < num_motifs; ++m) {
       if (prepared[m].skeleton.recorded()) {
-        replayers[slot * num_motifs + m].emplace(&prepared[m].skeleton);
+        lane.replayers[m].emplace(&prepared[m].skeleton);
       }
     }
   }
   std::vector<std::vector<int64_t>> counts(
       num_motifs, std::vector<int64_t>(static_cast<size_t>(num_tasks), 0));
   std::vector<uint8_t> done(static_cast<size_t>(num_tasks), 0);
-  FlowPermutationStream stream(graph_, options_.seed);
 
   WallTimer pass_timer;
-  int64_t wave_first = 0;
-  const auto run_task = [&](int64_t offset) {
+  const auto run_task = [&](int64_t task, LaneScratch* s) {
     if (control != nullptr && control->CheckAtBoundary(failpoint::kSigTask)) {
       return;
     }
-    const int64_t task = wave_first + offset;
-    const auto slot = static_cast<size_t>(offset);
-    FlowPrefixArena& arena = arenas[slot];
+    const auto draw = static_cast<uint64_t>(task);
     if (any_replayed) {
       if (task == 0) {
-        arena.FillFromGraph(graph_);
+        s->arena.FillFromGraph(graph_, extents);
       } else {
-        arena.FillFromFlows(graph_, slot_flows[slot]);
+        s->arena.FillFromDraw(graph_, draws, draw, extents);
       }
     }
-    // The counting route needs an actual graph: a flow view over the
+    // The counting route needs an actual graph: the flow view of the
     // same draw, sharing the real graph's timestamps.
     std::optional<TimeSeriesGraph> view;
     if (any_counted && task != 0) {
-      view.emplace(graph_.WithFlows(slot_flows[slot]));
+      draws.DrawInto(draw, &s->flows);
+      view.emplace(graph_.WithFlows(s->flows));
     }
     const TimeSeriesGraph& target = view.has_value() ? *view : graph_;
     for (size_t m = 0; m < num_motifs; ++m) {
-      std::optional<SkeletonReplayer>& replayer =
-          replayers[slot * num_motifs + m];
+      std::optional<SkeletonReplayer>& replayer = s->replayers[m];
       counts[m][static_cast<size_t>(task)] =
           replayer.has_value()
-              ? replayer->Count(arena, options_.phi)
+              ? replayer->Count(s->arena, options_.phi)
               : CountOn(target, motifs[m], prepared[m].matches, tier);
     }
     done[static_cast<size_t>(task)] = 1;
   };
-  for (; wave_first < num_tasks; wave_first += wave_width) {
-    if (control != nullptr && control->ShouldStop()) break;
-    const int64_t wave_limit = std::min(num_tasks, wave_first + wave_width);
-    // Draws stay serial and in task order (the seeded stream is one
-    // stream), so permutation i is the same for every wave width.
-    for (int64_t t = std::max<int64_t>(1, wave_first); t < wave_limit; ++t) {
-      stream.NextPermutationInto(&slot_flows[static_cast<size_t>(
-          t - wave_first)]);
+  std::atomic<int64_t> next_task{0};
+  const auto run_lane = [&](int64_t lane) {
+    for (int64_t task = next_task++; task < num_tasks; task = next_task++) {
+      run_task(task, &lanes[static_cast<size_t>(lane)]);
     }
-    if (options_.pool != nullptr) {
-      options_.pool->ParallelFor(wave_limit - wave_first, run_task);
-    } else {
-      run_task(0);  // serial: every wave is one task
-    }
+  };
+  if (options_.pool != nullptr) {
+    options_.pool->ParallelFor(num_lanes, run_lane);
+  } else {
+    run_lane(0);
   }
   const double pass_seconds = pass_timer.ElapsedSeconds();
   const int64_t completed = DonePrefix(done);

@@ -32,27 +32,32 @@ namespace flowmotif {
 ///      once — they are flow-independent) and the timestamp-only
 ///      enumeration skeleton (core/skeleton.h), recorded through one
 ///      window-list reader per motif.
-///   2. Each permutation is drawn once, serially from the seeded
-///      FlowPermutationStream, in waves as wide as the pool (1 without
-///      one), so permutation i is the same for every pool size and
-///      every motif set — as in the paper, one set of randomized
-///      datasets serves every motif.
-///   3. Per ensemble task (task 0 = the real graph), one FlowPrefixArena
-///      is filled and every recorded motif is a dense replay kernel pass
-///      over it. A motif whose recording was skipped or exceeded the
-///      trace budget is counted instead by the counting recursion
-///      (InstanceCounter) over its matches on a TimeSeriesGraph::WithFlows
-///      view built from the same draw. Its window lists depend only on
-///      timestamps, which every view shares, so the counting readers of
-///      all tasks sit in front of one ensemble-scoped SharedWindowCache
-///      tier: each (first, last) list is computed once per ensemble,
-///      not once per graph.
+///   2. Randomized graph i is draw i of the keyed null model
+///      (util/keyed_permutation.h): slot p carries the real flow of slot
+///      π_i(p), π_i a pseudo-random bijection keyed by (seed, i). A draw
+///      depends on nothing else, so graph i is the same for every pool
+///      size, every motif set and every task order — as in the paper,
+///      one set of randomized datasets serves every motif.
+///   3. Each ensemble task (task 0 = the real graph) evaluates its own
+///      draw; the pool's workers claim tasks in order from a shared
+///      cursor, each with its own scratch. The replay route fills a
+///      FlowPrefixArena only on the prefix blocks the set's recorded
+///      skeletons read (the union of their PrefixExtents), evaluating
+///      π_i on just those slots, and every recorded motif is a dense
+///      replay kernel pass over it. A motif whose recording was skipped
+///      or exceeded the trace budget is counted instead by the counting
+///      recursion (InstanceCounter) over its matches on a
+///      TimeSeriesGraph::WithFlows view of the full draw. Its window
+///      lists depend only on timestamps, which every view shares, so
+///      the counting readers of all tasks sit in front of one
+///      ensemble-scoped SharedWindowCache tier: each (first, last) list
+///      is computed once per ensemble, not once per graph.
 ///
 /// Counts are integers computed per task, so every report is
 /// byte-identical for any thread count, any motif set and any set order
 /// (the significance equivalence tests lock this against a retained
-/// deep-copying reference). At most one wave of flow vectors is
-/// resident at a time.
+/// deep-copying reference). At most pool-width arenas (and, on the
+/// counting route, full flow vectors) are resident at a time.
 class SignificanceAnalyzer {
  public:
   struct Options {
@@ -60,7 +65,8 @@ class SignificanceAnalyzer {
     int num_random_graphs = 20;
 
     /// Seed for the flow permutations; the analysis is deterministic
-    /// given the seed.
+    /// given the seed. Graph i of the ensemble is
+    /// graph.WithPermutedFlows(seed, i).
     uint64_t seed = 1;
 
     /// The delta / phi query parameters.
@@ -68,8 +74,8 @@ class SignificanceAnalyzer {
     Flow phi = 0.0;
 
     /// Optional worker pool (not owned). When set, phase P1 and the
-    /// tasks of each wave run on it. Permutations are drawn serially
-    /// before each wave, so the report is byte-identical for any thread
+    /// ensemble tasks run on it, each task drawing its own keyed
+    /// permutation, so the report is byte-identical for any thread
     /// count.
     ThreadPool* pool = nullptr;
 
@@ -82,8 +88,7 @@ class SignificanceAnalyzer {
     /// ensemble task (site "sig.task"), before any motif of the task is
     /// counted. On stop every report covers the same contiguous prefix
     /// of completed tasks — identical to a clean run with that many
-    /// random graphs, since permutations are drawn serially from the
-    /// seed.
+    /// random graphs, since graph i is keyed on (seed, i) alone.
     QueryControl* control = nullptr;
   };
 
@@ -99,7 +104,7 @@ class SignificanceAnalyzer {
     /// replayed (vs counted by the recursion on every graph), the
     /// recorded trace size, the wall seconds spent recording this
     /// motif's skeleton, and the wall seconds of the shared ensemble
-    /// pass — permutation draws, arena fills and the counting of every
+    /// pass — the tasks' draws, arena fills and the counting of every
     /// motif of the set, so AnalyzeAll reports the same replay_seconds
     /// for each replayed motif. All zero when the motif was not
     /// replayed.
@@ -126,10 +131,10 @@ class SignificanceAnalyzer {
   MotifReport Analyze(const Motif& motif) const;
 
   /// Analyzes a set of motifs against ONE permutation ensemble — the
-  /// paper's setup — in one pass: each permutation is drawn once and
-  /// counted for every motif. Each report is identical to the corresponding
-  /// single-motif Analyze call regardless of the set's composition or
-  /// order.
+  /// paper's setup — in one pass: each task draws its permutation once
+  /// and counts every motif on it. Each report is identical to the
+  /// corresponding single-motif Analyze call regardless of the set's
+  /// composition or order.
   std::vector<MotifReport> AnalyzeAll(const std::vector<Motif>& motifs) const;
 
  private:

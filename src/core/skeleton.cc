@@ -1,6 +1,8 @@
 #include "core/skeleton.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -10,6 +12,7 @@
 #include "core/sliding_window.h"
 #include "util/cancellation.h"
 #include "util/failpoint.h"
+#include "util/keyed_permutation.h"
 #include "util/logging.h"
 
 namespace flowmotif {
@@ -62,6 +65,48 @@ class SeriesPairIndexer {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// PrefixExtent
+// ---------------------------------------------------------------------------
+
+void UnionPrefixExtents(const std::vector<PrefixExtent>& extents,
+                        std::vector<PrefixExtent>* into) {
+  std::vector<PrefixExtent> merged;
+  merged.reserve(into->size() + extents.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < into->size() || j < extents.size()) {
+    if (j == extents.size() ||
+        (i < into->size() && (*into)[i].pair < extents[j].pair)) {
+      merged.push_back((*into)[i++]);
+    } else if (i == into->size() || extents[j].pair < (*into)[i].pair) {
+      merged.push_back(extents[j++]);
+    } else {
+      PrefixExtent both = (*into)[i++];
+      both.last = std::max(both.last, extents[j++].last);
+      merged.push_back(both);
+    }
+  }
+  *into = std::move(merged);
+}
+
+// ---------------------------------------------------------------------------
+// FlowPermutationStream
+// ---------------------------------------------------------------------------
+
+FlowPermutationStream::FlowPermutationStream(const TimeSeriesGraph& graph,
+                                             uint64_t seed)
+    : original_(graph.PairOrderFlows()), seed_(seed) {}
+
+void FlowPermutationStream::NextPermutationInto(std::vector<Flow>* flows) {
+  DrawInto(++drawn_, flows);
+}
+
+void FlowPermutationStream::DrawInto(uint64_t draw,
+                                     std::vector<Flow>* flows) const {
+  ApplyKeyedPermutation(original_, seed_, draw, flows);
+}
+
+// ---------------------------------------------------------------------------
 // FlowPrefixArena
 // ---------------------------------------------------------------------------
 
@@ -69,17 +114,38 @@ void FlowPrefixArena::EnsureLayout(const TimeSeriesGraph& graph) {
   if (topology_identity_ == graph.topology_identity()) return;
   FLOWMOTIF_CHECK(topology_identity_.storage == nullptr)
       << "FlowPrefixArena refilled from a different topology";
-  const size_t total = BuildPrefixOffsets(graph, &offsets_);
-  prefix_.resize(total);
+  size_ = BuildPrefixOffsets(graph, &offsets_);
+  // Default-initialized: the extent fills touch only the blocks they
+  // write, so untouched pages are never faulted in.
+  prefix_.reset(new double[size_]);
   topology_identity_ = graph.topology_identity();
+}
+
+double* FlowPrefixArena::ExtentBlock(const PrefixExtent& extent) {
+  FLOWMOTIF_CHECK_LT(extent.pair + size_t{1}, offsets_.size());
+  FLOWMOTIF_CHECK_EQ(extent.begin, offsets_[extent.pair])
+      << "extent of another arena layout";
+  FLOWMOTIF_CHECK_LT(extent.last, offsets_[extent.pair + 1]);
+  return prefix_.get() + extent.begin;
 }
 
 void FlowPrefixArena::FillFromGraph(const TimeSeriesGraph& graph) {
   EnsureLayout(graph);
   for (size_t p = 0; p < static_cast<size_t>(graph.num_pairs()); ++p) {
     const std::vector<double>& src = graph.pair(p).series.prefix_sums();
-    std::memcpy(prefix_.data() + offsets_[p], src.data(),
+    std::memcpy(prefix_.get() + offsets_[p], src.data(),
                 src.size() * sizeof(double));
+  }
+}
+
+void FlowPrefixArena::FillFromGraph(const TimeSeriesGraph& graph,
+                                    const std::vector<PrefixExtent>& extents) {
+  EnsureLayout(graph);
+  for (const PrefixExtent& extent : extents) {
+    const std::vector<double>& src =
+        graph.pair(extent.pair).series.prefix_sums();
+    std::memcpy(ExtentBlock(extent), src.data(),
+                (extent.last - extent.begin + size_t{1}) * sizeof(double));
   }
 }
 
@@ -89,7 +155,7 @@ void FlowPrefixArena::FillFromFlows(const TimeSeriesGraph& layout_graph,
   size_t cursor = 0;
   for (size_t p = 0; p < static_cast<size_t>(layout_graph.num_pairs()); ++p) {
     const size_t n = layout_graph.pair(p).series.size();
-    double* block = prefix_.data() + offsets_[p];
+    double* block = prefix_.get() + offsets_[p];
     // Same left-to-right accumulation as EdgeSeries::RebuildPrefix, so
     // the block equals the prefix array a view carrying these flows
     // would rebuild — bit for bit.
@@ -102,48 +168,34 @@ void FlowPrefixArena::FillFromFlows(const TimeSeriesGraph& layout_graph,
   FLOWMOTIF_CHECK_EQ(cursor, flows.size());
 }
 
-// ---------------------------------------------------------------------------
-// FlowPermutationStream
-// ---------------------------------------------------------------------------
-
-FlowPermutationStream::FlowPermutationStream(const TimeSeriesGraph& graph,
-                                             uint64_t seed)
-    : rng_(seed) {
-  size_t total = 0;
-  for (const TimeSeriesGraph::PairEdge& pe : graph.pairs()) {
-    total += pe.series.size();
-  }
-  original_.reserve(total);
-  for (const TimeSeriesGraph::PairEdge& pe : graph.pairs()) {
-    original_.insert(original_.end(), pe.series.flows().begin(),
-                     pe.series.flows().end());
-  }
-}
-
-void FlowPermutationStream::NextPermutationInto(std::vector<Flow>* flows) {
-  // WithPermutedFlows re-collects the real flows and shuffles them with
-  // the caller's RNG on every draw; copying the cached collection and
-  // consuming the identical stream below makes permutation i match
-  // view i of the PR 5 path for any seed.
-  *flows = original_;
-  if (flows->empty()) return;
-  // Inlined Rng::Shuffle: the same Fisher-Yates walk with the same
-  // NextBounded rejection rule (redraw while r < 2^64 mod bound), so the
-  // Next() sequence consumed — and the permutation produced — is
-  // bit-identical to rng_.Shuffle(flows). The significance equivalence
-  // tests lock this identity against the view-based reference path.
-  // The threshold is below `bound`, so a draw r >= bound (all but a
-  // ~bound/2^64 fraction) passes without computing it.
-  Flow* v = flows->data();
-  for (size_t i = flows->size() - 1; i > 0; --i) {
-    const uint64_t bound = i + 1;
-    uint64_t r = rng_.Next();
-    if (r < bound) {
-      const uint64_t threshold = -bound % bound;
-      while (r < threshold) r = rng_.Next();
+void FlowPrefixArena::FillFromDraw(const TimeSeriesGraph& layout_graph,
+                                   const FlowPermutationStream& draws,
+                                   uint64_t draw,
+                                   const std::vector<PrefixExtent>& extents) {
+  EnsureLayout(layout_graph);
+  const std::vector<Flow>& original = draws.original();
+  FLOWMOTIF_CHECK_EQ(original.size() + offsets_.size() - 1, size_)
+      << "draws of another graph's flows";
+  const KeyedPermutation perm(original.size(), draws.seed(), draw);
+  // Slot indices a chunk at a time, then the gather — see
+  // ApplyKeyedPermutation.
+  constexpr size_t kChunk = 256;
+  uint64_t slots[kChunk];
+  for (const PrefixExtent& extent : extents) {
+    double* block = ExtentBlock(extent);
+    // Pair p's interactions are slots offsets[p] - p onwards (each
+    // earlier block holds one entry more than its series).
+    const size_t first_slot = extent.begin - extent.pair;
+    const size_t count = extent.last - extent.begin;
+    // The accumulation of FillFromFlows, restricted to the prefix read.
+    block[0] = 0.0;
+    for (size_t done = 0; done < count; done += kChunk) {
+      const size_t chunk = std::min(kChunk, count - done);
+      perm.Evaluate(first_slot + done, chunk, slots);
+      for (size_t k = 0; k < chunk; ++k) {
+        block[done + k + 1] = block[done + k] + original[slots[k]];
+      }
     }
-    const size_t j = static_cast<size_t>(r % bound);
-    std::swap(v[i], v[j]);
   }
 }
 
@@ -173,6 +225,10 @@ struct EnumerationSkeleton::Recorder {
   const size_t* lo;      // per level, LowerBound(window.start)
   const size_t* limit;   // per level, UpperBound(window.end)
   const size_t* base;    // per level, arena block offset
+  // Per level, the `last` of the level's block extent: raised to every
+  // edge_hi the level emits (0 = block not read yet; a read block's
+  // last is at least begin + 1).
+  uint32_t* const* last_read;
   int num_edges;
   size_t max_edges;
   bool over_budget = false;
@@ -204,6 +260,11 @@ struct EnumerationSkeleton::Recorder {
 
   void BeginWindow() { ++window_gen; }
 
+  void ExtendRead(int level, uint32_t hi) {
+    uint32_t& last = *last_read[static_cast<size_t>(level)];
+    last = std::max(last, hi);
+  }
+
   uint32_t EmitState(int level) {
     std::vector<EdgeRec>& edges = scratch[static_cast<size_t>(level)];
     if (out_edges->size() + edges.size() > max_edges) {
@@ -217,9 +278,12 @@ struct EnumerationSkeleton::Recorder {
 
   /// Splits the AoS edge buffer into the skeleton's SoA arrays — one
   /// linear pass at the end of a recording, so the hot emission path
-  /// pays a single capacity check per state instead of three per edge.
+  /// pays a single capacity check per state instead of three per edge —
+  /// and collects the extents from the per-pair `last_read` ends.
   static void Finalize(EnumerationSkeleton* sk,
-                       const std::vector<EdgeRec>& edges) {
+                       const std::vector<EdgeRec>& edges,
+                       const std::vector<uint32_t>& last_read,
+                       const std::vector<size_t>& offsets) {
     sk->edge_lo_.resize(edges.size());
     sk->edge_hi_.resize(edges.size());
     sk->edge_child_.resize(edges.size());
@@ -227,6 +291,13 @@ struct EnumerationSkeleton::Recorder {
       sk->edge_lo_[i] = edges[i].lo;
       sk->edge_hi_[i] = edges[i].hi;
       sk->edge_child_[i] = edges[i].child;
+    }
+    sk->extents_.clear();
+    for (size_t p = 0; p < last_read.size(); ++p) {
+      if (last_read[p] == 0) continue;
+      sk->extents_.push_back(PrefixExtent{static_cast<uint32_t>(p),
+                                          static_cast<uint32_t>(offsets[p]),
+                                          last_read[p]});
     }
   }
 
@@ -253,9 +324,10 @@ struct EnumerationSkeleton::Recorder {
         over_budget = true;
         return kInvalidState;
       }
-      out_edges->push_back(EdgeRec{static_cast<uint32_t>(level_base + first),
-                                   static_cast<uint32_t>(level_base + level_limit),
-                                   0});
+      const auto hi = static_cast<uint32_t>(level_base + level_limit);
+      out_edges->push_back(
+          EdgeRec{static_cast<uint32_t>(level_base + first), hi, 0});
+      ExtendRead(level, hi);
       out->state_begin_.push_back(static_cast<uint32_t>(out_edges->size()));
       state = static_cast<uint32_t>(out->state_begin_.size() - 2);
     } else {
@@ -285,9 +357,10 @@ struct EnumerationSkeleton::Recorder {
           if (over_budget) return kInvalidState;
           continue;
         }
-        edges.push_back(EdgeRec{static_cast<uint32_t>(level_base + first),
-                                static_cast<uint32_t>(level_base + j + 1),
-                                child});
+        const auto hi = static_cast<uint32_t>(level_base + j + 1);
+        edges.push_back(
+            EdgeRec{static_cast<uint32_t>(level_base + first), hi, child});
+        ExtendRead(level, hi);
       }
       state = edges.empty() ? kInvalidState : EmitState(level);
     }
@@ -342,6 +415,7 @@ void EnumerationSkeleton::Clear() {
   edge_child_.clear();
   state_begin_.assign(2, 0);
   roots_.clear();
+  extents_.clear();
   match_viable_.clear();
   topology_identity_ = StorageIdentity{};
   recorded_ = false;
@@ -373,6 +447,8 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
   const int m = motif.num_edges();
   std::vector<const EdgeSeries*> series(static_cast<size_t>(m));
   std::vector<size_t> base(static_cast<size_t>(m));
+  std::vector<uint32_t> last_read(static_cast<size_t>(graph.num_pairs()), 0);
+  std::vector<uint32_t*> level_last(static_cast<size_t>(m));
   WindowCursorSet cursors;
   WindowListMru reader(delta, tier, options.query_control);
 
@@ -382,6 +458,7 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
   rec.out_edges = &edges;
   rec.series = series.data();
   rec.base = base.data();
+  rec.last_read = level_last.data();
   rec.num_edges = m;
   rec.max_edges = options.max_edges;
   rec.memo_state.resize(static_cast<size_t>(m));
@@ -391,9 +468,10 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
   match_viable_.assign(matches.size(), 0);
   for (size_t match_index = 0; match_index < matches.size(); ++match_index) {
     ResolveMatchSeries(graph, motif, matches[match_index], &series);
-    for (int k = 0; k < m; ++k) {
-      base[static_cast<size_t>(k)] =
-          offsets[series_pair_index(series[static_cast<size_t>(k)])];
+    for (size_t k = 0; k < static_cast<size_t>(m); ++k) {
+      const size_t pair = series_pair_index(series[k]);
+      base[k] = offsets[pair];
+      level_last[k] = &last_read[pair];
     }
     rec.BeginMatch(series);
 
@@ -408,7 +486,7 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
     }
   }
 
-  Recorder::Finalize(this, edges);
+  Recorder::Finalize(this, edges, last_read, offsets);
   topology_identity_ = graph.topology_identity();
   recorded_ = true;
 #ifndef NDEBUG
@@ -445,12 +523,18 @@ void EnumerationSkeleton::RecordSweepDescending(
   const int m = motif.num_edges();
   std::vector<const EdgeSeries*> series(static_cast<size_t>(m));
   std::vector<size_t> base(static_cast<size_t>(m));
+  std::vector<size_t> level_pair(static_cast<size_t>(m));
+  // Per delta, per pair: the extent ends (Record's last_read).
+  std::vector<std::vector<uint32_t>> last_read(
+      n, std::vector<uint32_t>(static_cast<size_t>(graph.num_pairs()), 0));
+  std::vector<uint32_t*> level_last(static_cast<size_t>(m));
   WindowCursorSet cursors;
 
   std::vector<std::vector<Recorder::EdgeRec>> edges(n);
   Recorder rec;
   rec.series = series.data();
   rec.base = base.data();
+  rec.last_read = level_last.data();
   rec.num_edges = m;
   rec.max_edges = options.max_edges;
   rec.memo_state.resize(static_cast<size_t>(m));
@@ -520,9 +604,9 @@ void EnumerationSkeleton::RecordSweepDescending(
           << "binding is not a structural match of " << motif.name();
       series[static_cast<size_t>(i)] = s;
     }
-    for (int k = 0; k < m; ++k) {
-      base[static_cast<size_t>(k)] =
-          offsets[series_pair_index(series[static_cast<size_t>(k)])];
+    for (size_t k = 0; k < static_cast<size_t>(m); ++k) {
+      level_pair[k] = series_pair_index(series[k]);
+      base[k] = offsets[level_pair[k]];
     }
     rec.BeginMatch(series);
 
@@ -537,6 +621,9 @@ void EnumerationSkeleton::RecordSweepDescending(
       EnumerationSkeleton& sk = (*skeletons)[d];
       rec.out = &sk;
       rec.out_edges = &edges[d];
+      for (size_t k = 0; k < static_cast<size_t>(m); ++k) {
+        level_last[k] = &last_read[d][level_pair[k]];
+      }
       rec.over_budget = false;
       const bool any_root =
           rec.RecordMatchWindows(&cursors, series, windows[d]);
@@ -563,7 +650,7 @@ void EnumerationSkeleton::RecordSweepDescending(
       sk.Clear();
       continue;
     }
-    Recorder::Finalize(&sk, edges[d]);
+    Recorder::Finalize(&sk, edges[d], last_read[d], offsets);
     sk.topology_identity_ = graph.topology_identity();
     sk.recorded_ = true;
 #ifndef NDEBUG
@@ -609,6 +696,28 @@ Status EnumerationSkeleton::Verify() const {
     if (roots_[r] >= num_states()) {
       return fail("root " + std::to_string(r) + " is state " +
                   std::to_string(roots_[r]) + ", out of range");
+    }
+  }
+  for (size_t x = 0; x < extents_.size(); ++x) {
+    if (extents_[x].begin > extents_[x].last) {
+      return fail("extent " + std::to_string(x) + " ends before it begins");
+    }
+    if (x > 0 && (extents_[x - 1].pair >= extents_[x].pair ||
+                  extents_[x - 1].last >= extents_[x].begin)) {
+      return fail("extent " + std::to_string(x) +
+                  " is out of pair order or overlaps its predecessor");
+    }
+  }
+  for (size_t e = 0; e < edges; ++e) {
+    // The extent whose block holds edge_lo: the last one beginning at or
+    // before it.
+    const auto next = std::upper_bound(
+        extents_.begin(), extents_.end(), edge_lo_[e],
+        [](uint32_t lo, const PrefixExtent& x) { return lo < x.begin; });
+    if (next == extents_.begin() || edge_hi_[e] > std::prev(next)->last) {
+      return fail("edge " + std::to_string(e) + " reads index " +
+                  std::to_string(edge_hi_[e]) +
+                  " outside its block's recorded extent");
     }
   }
   return Status::OK();

@@ -3,13 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/motif.h"
 #include "core/structural_match.h"
 #include "core/window_cursor.h"
 #include "graph/time_series_graph.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace flowmotif {
@@ -45,6 +45,55 @@ namespace flowmotif {
 /// any flow assignment over the same timestamp storage (the whole
 /// permutation ensemble) and any phi threshold (a parameter sweep).
 
+/// The part of one prefix block a trace reads: pair `pair`'s block
+/// starts at arena index `begin`, and no recorded edge reads an entry
+/// past `last` (absolute, inclusive). Filling [begin, last] left to
+/// right from the block start reproduces every entry the trace reads.
+struct PrefixExtent {
+  uint32_t pair;
+  uint32_t begin;
+  uint32_t last;
+
+  bool operator==(const PrefixExtent& other) const {
+    return pair == other.pair && begin == other.begin && last == other.last;
+  }
+};
+
+/// Merges `extents` (sorted by pair, as every skeleton stores them) into
+/// `*into` (sorted by pair): one entry per pair, reaching the larger of
+/// the two `last`s — the blocks a set of skeletons reads together.
+void UnionPrefixExtents(const std::vector<PrefixExtent>& extents,
+                        std::vector<PrefixExtent>* into);
+
+/// Draws the significance ensemble's flow permutations as flat
+/// pair-order flow vectors: draw i is
+/// ApplyKeyedPermutation(PairOrderFlows(), seed, i) — the flows of
+/// TimeSeriesGraph::WithPermutedFlows(seed, i) — for i >= 1 (task 0 of
+/// the ensemble is the real graph). Draws are keyed, so DrawInto may be
+/// called for any draw, in any order and from any thread;
+/// NextPermutationInto walks draws 1, 2, ... in order.
+class FlowPermutationStream {
+ public:
+  FlowPermutationStream(const TimeSeriesGraph& graph, uint64_t seed);
+
+  /// Writes the next draw (1, 2, ... on successive calls) into `*flows`
+  /// (pair order, one entry per interaction).
+  void NextPermutationInto(std::vector<Flow>* flows);
+
+  /// Writes draw `draw` into `*flows`. Thread-safe (const).
+  void DrawInto(uint64_t draw, std::vector<Flow>* flows) const;
+
+  /// The real graph's flows in pair order: the values every draw
+  /// permutes.
+  const std::vector<Flow>& original() const { return original_; }
+  uint64_t seed() const { return seed_; }
+
+ private:
+  std::vector<Flow> original_;
+  uint64_t seed_;
+  uint64_t drawn_ = 0;  // draws handed out by NextPermutationInto
+};
+
 /// A flat concatenation of per-series flow prefix-sum arrays in pair
 /// order: pair p's block holds its series' n_p + 1 prefix entries, so
 /// any Eq. 2 range flow is a subtraction of two entries of one array.
@@ -52,25 +101,42 @@ namespace flowmotif {
 /// order), so every graph of a flow-permutation ensemble fills the
 /// same offsets and a recorded skeleton's absolute indices are valid
 /// for all of them.
+///
+/// The extent fills write only the prefix blocks a set of skeletons
+/// reads (their PrefixExtents); every other entry keeps whatever it
+/// held, and the storage is not zeroed on allocation, so pages no fill
+/// touches are never faulted in. Each written entry is accumulated
+/// exactly as the full fill accumulates it, so a replay of those
+/// skeletons reads the same bits either way.
 class FlowPrefixArena {
  public:
   /// Copies `graph`'s per-series prefix arrays into the arena
   /// (allocating the layout on first use). Subsequent fills must come
   /// from graphs sharing the same topology identity.
   void FillFromGraph(const TimeSeriesGraph& graph);
+  /// The same, restricted to `extents`.
+  void FillFromGraph(const TimeSeriesGraph& graph,
+                     const std::vector<PrefixExtent>& extents);
 
   /// Rebuilds the prefix data from a flat pair-order flow vector (one
-  /// entry per interaction, as produced by FlowPermutationStream) —
-  /// the replay path's substitute for constructing a permutation view.
+  /// entry per interaction, as produced by FlowPermutationStream).
   /// The accumulation order matches EdgeSeries::RebuildPrefix, so the
-  /// arena is bit-identical to the prefix arrays a WithPermutedFlows
-  /// view carrying the same flows would own. `layout_graph` provides
-  /// the topology; `flows` must have one entry per interaction.
+  /// arena is bit-identical to the prefix arrays a WithFlows view
+  /// carrying the same flows would own. `layout_graph` provides the
+  /// topology; `flows` must have one entry per interaction.
   void FillFromFlows(const TimeSeriesGraph& layout_graph,
                      const std::vector<Flow>& flows);
 
-  const double* data() const { return prefix_.data(); }
-  size_t size() const { return prefix_.size(); }
+  /// Fills `extents` with draw `draw` of `draws`, evaluating the keyed
+  /// permutation only on the slots those blocks accumulate: every
+  /// entry inside an extent equals FillFromFlows of the full draw, bit
+  /// for bit. `draws` must permute `layout_graph`'s flows.
+  void FillFromDraw(const TimeSeriesGraph& layout_graph,
+                    const FlowPermutationStream& draws, uint64_t draw,
+                    const std::vector<PrefixExtent>& extents);
+
+  const double* data() const { return prefix_.get(); }
+  size_t size() const { return size_; }
   StorageIdentity topology_identity() const { return topology_identity_; }
 
   /// Offset of pair p's prefix block; the block has series-size + 1
@@ -82,29 +148,14 @@ class FlowPrefixArena {
  private:
   void EnsureLayout(const TimeSeriesGraph& graph);
 
-  std::vector<double> prefix_;
+  /// Checks that `extent` is a block of this layout and returns the
+  /// block's first entry.
+  double* ExtentBlock(const PrefixExtent& extent);
+
+  std::unique_ptr<double[]> prefix_;  // not zeroed: see the class comment
+  size_t size_ = 0;
   std::vector<size_t> offsets_;  // per pair, block start; back() = total
   StorageIdentity topology_identity_;
-};
-
-/// Draws the significance ensemble's flow permutations directly as
-/// flat pair-order flow vectors, consuming the RNG stream exactly as
-/// TimeSeriesGraph::WithPermutedFlows does (collect the real flows in
-/// pair order, Fisher-Yates shuffle). Permutation i is therefore
-/// bit-identical to the flows view i of the PR 5 path would carry —
-/// but producing it costs one shuffle, not a graph view with
-/// re-derived per-series prefix arrays.
-class FlowPermutationStream {
- public:
-  FlowPermutationStream(const TimeSeriesGraph& graph, uint64_t seed);
-
-  /// Writes the next permutation of the real graph's flow multiset
-  /// into `*flows` (pair order, one entry per interaction).
-  void NextPermutationInto(std::vector<Flow>* flows);
-
- private:
-  std::vector<Flow> original_;  // the real graph's flows, pair order
-  Rng rng_;
 };
 
 /// The recorded timestamp-only trace of one (motif, delta) enumeration
@@ -197,8 +248,11 @@ class EnumerationSkeleton {
   /// equal length; state_begin_ starts at 0, is non-decreasing, and
   /// ends at num_edges(); every edge's child state is below the state
   /// owning the edge (post-order, so state 0 owns no edge); every root
-  /// is a state; and every edge has edge_lo <= edge_hi. OK or Internal
-  /// naming the first violation. An unrecorded skeleton is trivially
+  /// is a state; every edge has edge_lo <= edge_hi; the extents are
+  /// sorted by pair with disjoint [begin, last] ranges; and every edge
+  /// lies within one extent — edge_hi at most its block's `last`, the
+  /// invariant that makes extent fills exact. OK or Internal naming
+  /// the first violation. An unrecorded skeleton is trivially
   /// valid. Tests call it after every recording; debug builds CHECK it
   /// after Record and RecordSweepDescending.
   Status Verify() const;
@@ -218,6 +272,11 @@ class EnumerationSkeleton {
   const uint32_t* edge_child() const { return edge_child_.data(); }
   const uint32_t* state_begin() const { return state_begin_.data(); }
   const uint32_t* roots() const { return roots_.data(); }
+
+  /// The prefix blocks the trace reads, one per touched pair, sorted by
+  /// pair: the only arena entries a replay of this skeleton consults
+  /// (FlowPrefixArena's extent fills).
+  const std::vector<PrefixExtent>& extents() const { return extents_; }
 
   /// Per recorded match (aligned with the `matches` argument of
   /// Record), whether the match contributed any root — i.e. has at
@@ -240,6 +299,7 @@ class EnumerationSkeleton {
   std::vector<uint32_t> edge_child_;
   std::vector<uint32_t> state_begin_{0, 0};  // state 0 = unit, no edges
   std::vector<uint32_t> roots_;
+  std::vector<PrefixExtent> extents_;
   std::vector<uint8_t> match_viable_;
   StorageIdentity topology_identity_;
   bool recorded_ = false;

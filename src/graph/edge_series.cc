@@ -1,6 +1,9 @@
 #include "graph/edge_series.h"
 
 #include <algorithm>
+#include <cmath>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "util/logging.h"
@@ -19,7 +22,25 @@ const std::shared_ptr<const std::vector<Timestamp>>& EmptyTimes() {
   return *kEmpty;
 }
 
+/// OK iff `f` is positive and finite; otherwise InvalidArgument naming
+/// element `index` of the caller's input.
+Status ValidateFlow(Flow f, size_t index) {
+  if (std::isfinite(f) && f > 0.0) return Status::OK();
+  std::ostringstream msg;
+  msg << "flow " << f << " at index " << index
+      << ": flows must be positive and finite";
+  return Status::InvalidArgument(msg.str());
+}
+
 }  // namespace
+
+StatusOr<EdgeSeries> EdgeSeries::Create(std::vector<Interaction> interactions,
+                                        EpochId epoch) {
+  for (size_t i = 0; i < interactions.size(); ++i) {
+    FLOWMOTIF_RETURN_IF_ERROR(ValidateFlow(interactions[i].f, i));
+  }
+  return EdgeSeries(std::move(interactions), epoch);
+}
 
 EdgeSeries::EdgeSeries() : times_(EmptyTimes()) {
   SyncTimesView();
@@ -149,11 +170,18 @@ bool EdgeSeries::HasElementInOpenClosed(Timestamp lo, Timestamp hi) const {
   return first < size() && times_data_[first] <= hi;
 }
 
-void EdgeSeries::ReplaceFlows(const std::vector<Flow>& new_flows) {
-  FLOWMOTIF_CHECK_EQ(new_flows.size(), flows_.size());
-  for (Flow f : new_flows) FLOWMOTIF_CHECK_GT(f, 0.0);
+Status EdgeSeries::ReplaceFlows(const std::vector<Flow>& new_flows) {
+  if (new_flows.size() != flows_.size()) {
+    return Status::InvalidArgument(
+        "ReplaceFlows got " + std::to_string(new_flows.size()) +
+        " flows for a series of " + std::to_string(flows_.size()));
+  }
+  for (size_t i = 0; i < new_flows.size(); ++i) {
+    FLOWMOTIF_RETURN_IF_ERROR(ValidateFlow(new_flows[i], i));
+  }
   flows_ = new_flows;
   RebuildPrefix();
+  return Status::OK();
 }
 
 }  // namespace flowmotif

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/types.h"
+#include "util/status.h"
 
 namespace flowmotif {
 
@@ -33,9 +34,10 @@ class EdgeSeries {
   /// Builds from interactions; sorts them by (time, flow). The series
   /// owns a fresh timestamp array (a new identity). `epoch` stamps the
   /// identity with the creation epoch of the storage (0 for static
-  /// graphs).
-  explicit EdgeSeries(std::vector<Interaction> interactions,
-                      EpochId epoch = 0);
+  /// graphs). InvalidArgument, naming the first offender, when a flow
+  /// is non-positive or not finite.
+  static StatusOr<EdgeSeries> Create(std::vector<Interaction> interactions,
+                                     EpochId epoch = 0);
 
   /// A view over this series' timestamp storage (shared by identity, not
   /// copied) carrying `new_flows` in element order. The significance
@@ -131,11 +133,22 @@ class EdgeSeries {
 
   /// Replaces the flow values in place and rebuilds the prefix sums.
   /// Only the owned flow storage is touched — the shared timestamps (and
-  /// any views over them) are unaffected. `new_flows.size()` must equal
-  /// size().
-  void ReplaceFlows(const std::vector<Flow>& new_flows);
+  /// any views over them) are unaffected. InvalidArgument, leaving the
+  /// series unchanged, when `new_flows.size()` differs from size() or a
+  /// flow is non-positive or not finite.
+  Status ReplaceFlows(const std::vector<Flow>& new_flows);
 
  private:
+  // Build and ExtendWith construct series from interactions their
+  // inputs already validated (InteractionGraph::AddEdge,
+  // EpochLog::Append); every other caller goes through Create.
+  friend class TimeSeriesGraph;
+
+  /// The unchecked constructor behind Create: `interactions` must carry
+  /// positive finite flows (a CHECK guards the invariant).
+  explicit EdgeSeries(std::vector<Interaction> interactions,
+                      EpochId epoch = 0);
+
   void RebuildPrefix();
 
   /// Re-derives the cached raw view (times_data_, num_elements_) from

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "util/keyed_permutation.h"
 #include "util/logging.h"
 
 namespace flowmotif {
@@ -205,17 +206,23 @@ TimeSeriesGraph::Stats TimeSeriesGraph::ComputeStats() const {
   return stats;
 }
 
-TimeSeriesGraph TimeSeriesGraph::WithPermutedFlows(Rng* rng) const {
-  FLOWMOTIF_CHECK(rng != nullptr);
-  // Collect every flow value in deterministic (pair, index) order and
-  // shuffle the multiset; WithFlows writes it back in the same order.
-  std::vector<Flow> all_flows;
+std::vector<Flow> TimeSeriesGraph::PairOrderFlows() const {
+  size_t total = 0;
+  for (const PairEdge& pe : pairs_) total += pe.series.size();
+  std::vector<Flow> flows;
+  flows.reserve(total);
   for (const PairEdge& pe : pairs_) {
-    all_flows.insert(all_flows.end(), pe.series.flows().begin(),
-                     pe.series.flows().end());
+    flows.insert(flows.end(), pe.series.flows().begin(),
+                 pe.series.flows().end());
   }
-  rng->Shuffle(&all_flows);
-  return WithFlows(all_flows);
+  return flows;
+}
+
+TimeSeriesGraph TimeSeriesGraph::WithPermutedFlows(uint64_t seed,
+                                                   uint64_t draw) const {
+  std::vector<Flow> permuted;
+  ApplyKeyedPermutation(PairOrderFlows(), seed, draw, &permuted);
+  return WithFlows(permuted);
 }
 
 TimeSeriesGraph TimeSeriesGraph::WithFlows(

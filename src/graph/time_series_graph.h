@@ -9,7 +9,6 @@
 #include "graph/edge_series.h"
 #include "graph/interaction_graph.h"
 #include "graph/types.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace flowmotif {
@@ -121,26 +120,27 @@ class TimeSeriesGraph {
   /// Dataset statistics (Table 3).
   Stats ComputeStats() const;
 
-  /// Returns a *flow-permutation view*: same structure and timestamps —
-  /// shared by identity, not copied — with the multiset of flow values
-  /// randomly permuted across all interactions, the randomization used
-  /// for the significance analysis (Sec. 6.3). The view owns only its
-  /// flow arrays (plus prefix sums); every series reports the same
-  /// timestamp_identity() as the original, so timestamp-keyed window
-  /// caches built on the real graph are warm for the view. The original
-  /// graph is never modified. The RNG stream consumed is identical to
-  /// the pre-view (deep-copying) implementation, so a seed reproduces
-  /// the same flows. Collects the flows in pair order, shuffles them,
-  /// and returns WithFlows of the shuffled vector.
-  TimeSeriesGraph WithPermutedFlows(Rng* rng) const;
+  /// Every interaction's flow, pair by pair in pairs() order and each
+  /// pair's flows in series order: the slot layout the flow
+  /// permutations index and WithFlows reads back.
+  std::vector<Flow> PairOrderFlows() const;
 
   /// The flow view carrying `pair_order_flows` — one positive flow per
-  /// interaction, pair by pair in pairs() order, each pair's flows in
-  /// series order (the layout FlowPermutationStream draws) — over this
-  /// graph's shared structure and timestamps, with prefix sums rebuilt
-  /// per series. Like WithPermutedFlows, the view's series are checked
-  /// for time order only (Verify).
+  /// interaction in the PairOrderFlows layout — over this graph's shared
+  /// structure and timestamps, with prefix sums rebuilt per series. The
+  /// view's series are checked for time order only (Verify).
   TimeSeriesGraph WithFlows(const std::vector<Flow>& pair_order_flows) const;
+
+  /// Randomized graph `draw` of the significance null model (Sec. 6.3):
+  /// WithFlows of PairOrderFlows() permuted by
+  /// KeyedPermutation(num interactions, seed, draw) — slot p carries the
+  /// flow of slot π_draw(p) (util/keyed_permutation.h). Same structure
+  /// and timestamps, shared by identity, not copied, so timestamp-keyed
+  /// window caches built on the real graph are warm for the view; the
+  /// view owns only its flow arrays and prefix sums, and the original
+  /// graph is never modified. Draws are independent of each other:
+  /// the ensemble's graph i is WithPermutedFlows(seed, i), i >= 1.
+  TimeSeriesGraph WithPermutedFlows(uint64_t seed, uint64_t draw) const;
 
   /// Deep copy with freshly owned timestamp and topology storage: every
   /// series gets a new timestamp_identity(), so no timestamp-keyed cache
@@ -150,7 +150,7 @@ class TimeSeriesGraph {
   TimeSeriesGraph DeepCopy() const;
 
   /// Stable identity of the shared CSR topology storage: equal for this
-  /// graph and every WithPermutedFlows view of it — and for every
+  /// graph and every flow view of it — and for every
   /// ExtendWith epoch that adds no new pair or vertex — distinct for
   /// separately built (or deep-copied) graphs and for epochs that
   /// changed the topology. Exposed for tests and skeleton replay.

@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
+
+#include "test_util.h"
 
 namespace flowmotif {
 namespace {
 
+using testing_util::MakeSeries;
+
 EdgeSeries MakeSeries() {
-  return EdgeSeries({{10, 5.0}, {13, 2.0}, {15, 3.0}, {18, 7.0}});
+  return MakeSeries({{10, 5.0}, {13, 2.0}, {15, 3.0}, {18, 7.0}});
 }
 
 TEST(EdgeSeriesTest, EmptySeries) {
@@ -20,7 +26,7 @@ TEST(EdgeSeriesTest, EmptySeries) {
 }
 
 TEST(EdgeSeriesTest, SortsUnorderedInput) {
-  EdgeSeries s({{15, 3.0}, {10, 5.0}, {18, 7.0}, {13, 2.0}});
+  EdgeSeries s = MakeSeries({{15, 3.0}, {10, 5.0}, {18, 7.0}, {13, 2.0}});
   ASSERT_EQ(s.size(), 4u);
   EXPECT_EQ(s.time(0), 10);
   EXPECT_EQ(s.time(1), 13);
@@ -64,7 +70,7 @@ TEST(EdgeSeriesTest, LowerAndUpperBound) {
 }
 
 TEST(EdgeSeriesTest, BoundsWithDuplicateTimestamps) {
-  EdgeSeries s({{10, 1.0}, {10, 2.0}, {12, 3.0}});
+  EdgeSeries s = MakeSeries({{10, 1.0}, {10, 2.0}, {12, 3.0}});
   EXPECT_EQ(s.LowerBound(10), 0u);
   EXPECT_EQ(s.UpperBound(10), 2u);
   EXPECT_DOUBLE_EQ(s.FlowInClosed(10, 10), 3.0);
@@ -103,21 +109,38 @@ TEST(EdgeSeriesTest, HasElementInOpenClosed) {
 
 TEST(EdgeSeriesTest, ReplaceFlowsRebuildsPrefixSums) {
   EdgeSeries s = MakeSeries();
-  s.ReplaceFlows({1.0, 1.0, 1.0, 1.0});
+  ASSERT_TRUE(s.ReplaceFlows({1.0, 1.0, 1.0, 1.0}).ok());
   EXPECT_DOUBLE_EQ(s.TotalFlow(), 4.0);
   EXPECT_DOUBLE_EQ(s.FlowSum(1, 2), 2.0);
   EXPECT_EQ(s.time(0), 10);  // timestamps untouched
 }
 
-TEST(EdgeSeriesDeathTest, NonPositiveFlowRejected) {
-  EXPECT_DEATH(EdgeSeries({{1, 0.0}}), "positive");
-  EXPECT_DEATH(EdgeSeries({{1, -2.0}}), "positive");
+TEST(EdgeSeriesTest, CreateRejectsNonPositiveOrNonFiniteFlows) {
+  for (const Flow bad : {0.0, -2.0, std::numeric_limits<Flow>::infinity(),
+                         std::nan("")}) {
+    const StatusOr<EdgeSeries> s = EdgeSeries::Create({{1, 2.0}, {3, bad}});
+    ASSERT_FALSE(s.ok()) << "flow " << bad;
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.status().message().find("index 1"), std::string::npos)
+        << s.status();
+  }
+  EXPECT_TRUE(EdgeSeries::Create({}).ok());
 }
 
-TEST(EdgeSeriesDeathTest, ReplaceFlowsSizeMismatchAborts) {
+TEST(EdgeSeriesTest, ReplaceFlowsRejectsBadInputAndKeepsTheSeries) {
   EdgeSeries s = MakeSeries();
-  std::vector<Flow> wrong_size{1.0, 2.0};
-  EXPECT_DEATH(s.ReplaceFlows(wrong_size), "Check failed");
+  const std::vector<std::vector<Flow>> bad_inputs = {
+      {1.0, 2.0},  // size mismatch
+      {1.0, 0.0, 1.0, 1.0},
+      {1.0, 1.0, -3.0, 1.0},
+      {1.0, 1.0, 1.0, std::numeric_limits<Flow>::infinity()},
+      {std::nan(""), 1.0, 1.0, 1.0}};
+  for (const std::vector<Flow>& flows : bad_inputs) {
+    const Status status = s.ReplaceFlows(flows);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_DOUBLE_EQ(s.TotalFlow(), 17.0);
+    EXPECT_DOUBLE_EQ(s.flow(0), 5.0);
+  }
 }
 
 TEST(EdgeSeriesTest, PrefixSumsMatchNaiveSummation) {
@@ -125,7 +148,7 @@ TEST(EdgeSeriesTest, PrefixSumsMatchNaiveSummation) {
   for (int i = 0; i < 200; ++i) {
     interactions.push_back({i * 3, 1.0 + (i % 7)});
   }
-  EdgeSeries s(interactions);
+  EdgeSeries s = MakeSeries(interactions);
   for (size_t i = 0; i < s.size(); i += 17) {
     for (size_t j = i; j < s.size(); j += 13) {
       double naive = 0.0;
@@ -156,7 +179,7 @@ TEST(EdgeSeriesTest, GallopingAdvanceMatchesBinarySearch) {
   for (int i = 0; i < 60; ++i) {
     interactions.push_back({(i / 3) * 5, 1.0 + (i % 4)});  // triples, gaps
   }
-  EdgeSeries s(interactions);
+  EdgeSeries s = MakeSeries(interactions);
   for (Timestamp t = -2; t <= s.time(s.size() - 1) + 3; ++t) {
     const size_t lower = s.LowerBound(t);
     const size_t upper = s.UpperBound(t);

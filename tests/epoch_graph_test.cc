@@ -294,8 +294,8 @@ TEST(EpochGraphTest, AdvanceProcessedWindowsEqualsBatchScanOnAnySchedule) {
       for (const Interaction& x : last_all) {
         if (x.t < w) l_vis.push_back(x);
       }
-      const EdgeSeries first(f_vis);
-      const EdgeSeries last(l_vis);
+      const EdgeSeries first = testing_util::MakeSeries(f_vis);
+      const EdgeSeries last = testing_util::MakeSeries(l_vis);
       std::vector<Window> settled;
       AdvanceProcessedWindows(first, last, delta, w, &state, &settled, &hot);
       settled_all.insert(settled_all.end(), settled.begin(), settled.end());

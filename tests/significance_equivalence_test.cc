@@ -1,8 +1,9 @@
-// Byte-identical equivalence of the significance ensemble pass
-// (permutations drawn once from the seeded stream, skeleton replay or
-// the counting recursion per motif) against a retained pre-refactor reference: deep-copying
-// WithPermutedFlows (fresh timestamp/topology storage per randomized
-// graph) plus per-graph enumeration with no shared cache. Real counts,
+// Byte-identical equivalence of the significance ensemble pass (each
+// task draws its keyed permutation, fills only the prefix blocks its
+// skeletons read, and replays or counts every motif) against a retained
+// naive reference: every randomized graph a deep copy with fresh
+// timestamp/topology storage whose flows are set slot by slot from
+// π_i, plus per-graph enumeration with no shared cache. Real counts,
 // random counts, z-scores, and p-values must match exactly across ~50
 // seeded random graphs, every catalog motif, a reference that runs P1
 // once or per graph, engine pool sizes {1, 2, 4, 8}, motif sets that
@@ -27,6 +28,7 @@
 #include "test_util.h"
 #include "util/cancellation.h"
 #include "util/failpoint.h"
+#include "util/keyed_permutation.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -35,26 +37,28 @@ namespace flowmotif {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Retained reference: the pre-refactor analyzer, kept verbatim in
-// behavior — every randomized graph is a full deep copy with freshly
-// owned storage (TimeSeriesGraph::DeepCopy + in-place ReplaceFlows,
-// exactly what the copying WithPermutedFlows did), every graph gets a
-// fresh enumerator with no injected cache, and the ensemble is redrawn
-// from the seed for every motif.
+// Retained reference: the naive analyzer — every randomized graph is a
+// full deep copy with freshly owned storage (TimeSeriesGraph::DeepCopy
+// + in-place ReplaceFlows), its flows set slot by slot from the keyed
+// permutation π_i, every graph gets a fresh enumerator with no injected
+// cache, and the ensemble is redrawn from the seed for every motif.
 // ---------------------------------------------------------------------------
 
-/// The copying WithPermutedFlows: collect flows in (pair, index) order,
-/// shuffle the multiset, write back in the same order — consuming the
-/// RNG stream exactly as the view-based implementation does.
+/// Randomized graph `draw`: collect flows in (pair, index) order, give
+/// slot p the flow of slot π_draw(p), write back in the same order.
 TimeSeriesGraph ReferencePermutedCopy(const TimeSeriesGraph& graph,
-                                      Rng* rng) {
-  std::vector<Flow> all_flows;
+                                      uint64_t seed, uint64_t draw) {
+  std::vector<Flow> real_flows;
   for (const TimeSeriesGraph::PairEdge& pe : graph.pairs()) {
     for (size_t i = 0; i < pe.series.size(); ++i) {
-      all_flows.push_back(pe.series.flow(i));
+      real_flows.push_back(pe.series.flow(i));
     }
   }
-  rng->Shuffle(&all_flows);
+  const KeyedPermutation pi(real_flows.size(), seed, draw);
+  std::vector<Flow> all_flows(real_flows.size());
+  for (size_t p = 0; p < all_flows.size(); ++p) {
+    all_flows[p] = real_flows[pi(p)];
+  }
 
   TimeSeriesGraph out = graph.DeepCopy();
   size_t cursor = 0;
@@ -67,7 +71,9 @@ TimeSeriesGraph ReferencePermutedCopy(const TimeSeriesGraph& graph,
     for (size_t i = 0; i < new_flows.size(); ++i) {
       new_flows[i] = all_flows[cursor++];
     }
-    const_cast<EdgeSeries&>(series).ReplaceFlows(new_flows);
+    const Status replaced =
+        const_cast<EdgeSeries&>(series).ReplaceFlows(new_flows);
+    EXPECT_TRUE(replaced.ok()) << replaced;
   }
   EXPECT_EQ(cursor, all_flows.size());
   return out;
@@ -91,15 +97,15 @@ SignificanceAnalyzer::MotifReport ReferenceAnalyze(
     matches = matcher.FindAllMatches();
   }
 
-  Rng rng(options.seed);
   const auto count_on = [&](const TimeSeriesGraph& target) {
     FlowMotifEnumerator enumerator(target, motif, enum_options);
     return reuse_matches ? enumerator.RunOnMatches(matches)
                          : enumerator.Run();
   };
   report.real_count = count_on(graph).num_instances;
-  for (int i = 0; i < options.num_random_graphs; ++i) {
-    const TimeSeriesGraph randomized = ReferencePermutedCopy(graph, &rng);
+  for (int i = 1; i <= options.num_random_graphs; ++i) {
+    const TimeSeriesGraph randomized = ReferencePermutedCopy(
+        graph, options.seed, static_cast<uint64_t>(i));
     report.random_counts.push_back(
         static_cast<double>(count_on(randomized).num_instances));
   }
@@ -205,6 +211,36 @@ TEST(SignificanceEquivalenceTest, ThreadAndReuseSweep) {
   }
 }
 
+// A graph above KeyedPermutation::kTableSlots interactions draws from
+// the Feistel network rather than the exact table; replayed and counted
+// motifs must still equal the slot-by-slot reference at every pool size.
+TEST(SignificanceEquivalenceTest, FeistelDrawsMatchReference) {
+  const TimeSeriesGraph graph = RandomGraph(88, 30, 2000, 600);
+  SignificanceAnalyzer::Options options = BaseOptions(88);
+  options.delta = 30;
+  for (const char* name : {"M(3,3)", "M(4,3)"}) {
+    const Motif motif = *MotifCatalog::ByName(name);
+    const SignificanceAnalyzer::MotifReport expected =
+        ReferenceAnalyze(graph, motif, options);
+    for (const size_t budget : {EnumerationSkeleton::kDefaultMaxEdges,
+                                size_t{0}}) {
+      for (const int threads : {1, 4}) {
+        ThreadPool pool(threads);
+        SignificanceAnalyzer::Options run = options;
+        run.pool = &pool;
+        run.max_skeleton_edges = budget;
+        const SignificanceAnalyzer::MotifReport report =
+            SignificanceAnalyzer(graph, run).Analyze(motif);
+        EXPECT_EQ(report.used_skeleton_replay, budget != 0);
+        ExpectReportsEqual(expected, report,
+                           std::string(name) + " budget=" +
+                               std::to_string(budget) +
+                               " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
 // AnalyzeAll shares one ensemble and one cache across motifs; each
 // report must still equal the single-motif Analyze (and hence the
 // reference), in any set order.
@@ -261,9 +297,9 @@ TEST(SignificanceEquivalenceTest, ReplayOffAndForcedBypassMatchReference) {
     EXPECT_FALSE(off_report.used_skeleton_replay);
     EXPECT_EQ(off_report.skeleton_edges, 0);
 
-    // Budget bypass: recording consults no RNG, so falling back after a
-    // bypassed recording must leave the seeded stream — and the report —
-    // exactly as a zero trace budget produces.
+    // Budget bypass: draws are keyed on (seed, task), so falling back
+    // after a bypassed recording must count the very same graphs — and
+    // give the report a zero trace budget produces.
     SignificanceAnalyzer::Options bypass = base;
     bypass.max_skeleton_edges = 1;
     const SignificanceAnalyzer bypassed(graph, bypass);
@@ -385,7 +421,7 @@ TEST(SignificanceEquivalenceTest, CountingRouteEqualsReplayAroundTierCapacity) {
 // A pass stopped at "sig.task" gives every motif of the set the same
 // contiguous task prefix, equal to a clean pass over that many graphs.
 // Serially the prefix is exactly the k tasks let through; with a pool
-// it is whatever contiguous prefix the wave completed.
+// it is whatever contiguous prefix the workers completed.
 TEST(SignificanceEquivalenceTest, StoppedAnalyzeAllCoversOneTaskPrefix) {
   if (!failpoint::kFailpointsCompiledIn) GTEST_SKIP();
   const TimeSeriesGraph graph = RandomGraph(41, 6, 90, 40);

@@ -8,17 +8,23 @@
 //  * the trace is flow-free: one recording answers any flow assignment
 //    over the same timestamps, so replaying permuted arenas equals
 //    enumerating the corresponding WithPermutedFlows views;
-//  * FlowPermutationStream consumes the RNG stream exactly as
-//    WithPermutedFlows does — permutation i carries view i's flows, and
-//    WithFlows of it is view i bit for bit;
+//  * FlowPermutationStream's draw i carries the flows of
+//    WithPermutedFlows(seed, i), and WithFlows of it is that view bit
+//    for bit;
+//  * the recorded extents are exactly the prefix blocks the trace reads,
+//    up to the last entry read, and an extent fill of a draw equals the
+//    full fill of the same draw on every entry inside them;
 //  * every recording (Record and RecordSweepDescending) passes
 //    EnumerationSkeleton::Verify;
 //  * the trace budget turns recording into a clean bypass (false, no
 //    skeleton), and arenas are gated on topology identity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/enumerator.h"
@@ -77,6 +83,44 @@ int64_t OracleCount(const TimeSeriesGraph& graph, const Motif& motif,
   opts.phi = phi;
   const FlowMotifEnumerator enumerator(graph, motif, opts);
   return enumerator.RunOnMatches(matches).num_instances;
+}
+
+/// The extents a trace reads, derived from its edges alone: per block
+/// (found through the arena's offsets), the largest edge_hi.
+std::vector<PrefixExtent> ExtentsReadByEdges(
+    const EnumerationSkeleton& skeleton, const FlowPrefixArena& arena,
+    size_t num_pairs) {
+  std::vector<size_t> offsets;
+  for (size_t p = 0; p < num_pairs; ++p) {
+    offsets.push_back(arena.block_offset(p));
+  }
+  std::map<size_t, uint32_t> last;
+  for (size_t e = 0; e < skeleton.num_edges(); ++e) {
+    const size_t pair = static_cast<size_t>(
+        std::upper_bound(offsets.begin(), offsets.end(),
+                         skeleton.edge_lo()[e]) -
+        offsets.begin() - 1);
+    last[pair] = std::max(last[pair], skeleton.edge_hi()[e]);
+  }
+  std::vector<PrefixExtent> extents;
+  for (const auto& [pair, hi] : last) {
+    extents.push_back(PrefixExtent{static_cast<uint32_t>(pair),
+                                   static_cast<uint32_t>(offsets[pair]), hi});
+  }
+  return extents;
+}
+
+/// memcmp of two arenas over the entries of `extents`.
+::testing::AssertionResult ExtentsEqual(
+    const FlowPrefixArena& a, const FlowPrefixArena& b,
+    const std::vector<PrefixExtent>& extents) {
+  for (const PrefixExtent& x : extents) {
+    const size_t bytes = (x.last - x.begin + size_t{1}) * sizeof(double);
+    if (std::memcmp(a.data() + x.begin, b.data() + x.begin, bytes) != 0) {
+      return ::testing::AssertionFailure() << "block of pair " << x.pair;
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(SkeletonTest, ReplayMatchesEnumeratorOnPaperGraphs) {
@@ -159,29 +203,30 @@ TEST(SkeletonTest, PermutationStreamMatchesWithPermutedFlows) {
   for (const uint64_t seed : {7u, 99u}) {
     const TimeSeriesGraph graph = RandomGraph(seed * 13 + 1, 7, 120, 70);
     FlowPermutationStream stream(graph, seed);
-    Rng rng(seed);
     std::vector<Flow> flows;
-    for (int draw = 0; draw < 5; ++draw) {
+    for (uint64_t draw = 1; draw <= 5; ++draw) {
       stream.NextPermutationInto(&flows);
-      const TimeSeriesGraph view = graph.WithPermutedFlows(&rng);
+      const TimeSeriesGraph view = graph.WithPermutedFlows(seed, draw);
       EXPECT_EQ(flows, AllFlows(view)) << "seed=" << seed << " draw=" << draw;
+      std::vector<Flow> keyed;
+      stream.DrawInto(draw, &keyed);
+      EXPECT_EQ(keyed, flows) << "seed=" << seed << " draw=" << draw;
     }
   }
 }
 
 TEST(SkeletonTest, WithFlowsOfStreamDrawEqualsPermutedView) {
   // Draw i of the stream, turned into a graph by WithFlows, is the same
-  // graph as WithPermutedFlows view i: flows and prefix sums bit for
+  // graph as WithPermutedFlows(seed, i): flows and prefix sums bit for
   // bit, over the same shared timestamps and topology.
   for (const uint64_t seed : {5u, 61u}) {
     const TimeSeriesGraph graph = RandomGraph(seed * 7 + 3, 7, 120, 70);
     FlowPermutationStream stream(graph, seed);
-    Rng rng(seed);
     std::vector<Flow> flows;
-    for (int draw = 0; draw < 4; ++draw) {
+    for (uint64_t draw = 1; draw <= 4; ++draw) {
       stream.NextPermutationInto(&flows);
       const TimeSeriesGraph drawn = graph.WithFlows(flows);
-      const TimeSeriesGraph view = graph.WithPermutedFlows(&rng);
+      const TimeSeriesGraph view = graph.WithPermutedFlows(seed, draw);
       ASSERT_TRUE(drawn.Verify().ok()) << drawn.Verify();
       EXPECT_EQ(drawn.topology_identity(), graph.topology_identity());
       ASSERT_EQ(drawn.num_pairs(), view.num_pairs());
@@ -221,6 +266,10 @@ TEST(SkeletonTest, SweepRecordingVerifiesAndMatchesPerDeltaEnumeration) {
     for (size_t d = 0; d < deltas.size(); ++d) {
       ASSERT_TRUE(skeletons[d].recorded()) << name << " delta=" << deltas[d];
       ASSERT_TRUE(skeletons[d].Verify().ok()) << skeletons[d].Verify();
+      EXPECT_EQ(skeletons[d].extents(),
+                ExtentsReadByEdges(skeletons[d], arena,
+                                   static_cast<size_t>(graph.num_pairs())))
+          << name << " delta=" << deltas[d];
       SkeletonReplayer replayer(&skeletons[d]);
       for (const Flow phi : {0.0, 3.0, 7.0}) {
         EXPECT_EQ(replayer.Count(arena, phi),
@@ -247,18 +296,96 @@ TEST(SkeletonTest, ReplayOnPermutedArenasMatchesEnumerationOnViews) {
   FlowPrefixArena arena;
 
   FlowPermutationStream stream(graph, 4242);
-  Rng rng(4242);
   std::vector<Flow> flows;
-  for (int draw = 0; draw < 4; ++draw) {
+  for (uint64_t draw = 1; draw <= 4; ++draw) {
     stream.NextPermutationInto(&flows);
     arena.FillFromFlows(graph, flows);
     // The view shares the graph's timestamps, so the one recording made
     // on the real graph serves the view's flow assignment.
-    const TimeSeriesGraph view = graph.WithPermutedFlows(&rng);
+    const TimeSeriesGraph view = graph.WithPermutedFlows(4242, draw);
     EXPECT_EQ(replayer.Count(arena, phi),
               OracleCount(view, motif, matches, delta, phi))
         << "draw=" << draw;
   }
+}
+
+TEST(SkeletonTest, ExtentFillEqualsFullFillOnEveryReadBlock) {
+  // Small graphs draw from the exact-table permutation, the large one
+  // from the Feistel network (util/keyed_permutation.h).
+  const std::vector<TimeSeriesGraph> graphs = {
+      RandomGraph(71, 6, 90, 40), RandomGraph(72, 8, 140, 60),
+      RandomGraph(73, 500, 3000, 3000)};
+  for (size_t g = 0; g < graphs.size(); ++g) {
+    const TimeSeriesGraph& graph = graphs[g];
+    const FlowPermutationStream draws(graph, 600 + g);
+    std::vector<PrefixExtent> all;  // union over the catalog
+    std::vector<EnumerationSkeleton> skeletons(MotifCatalog::All().size());
+    for (size_t m = 0; m < skeletons.size(); ++m) {
+      const Motif& motif = MotifCatalog::All()[m];
+      const std::string where =
+          "graph " + std::to_string(g) + " " + motif.name();
+      const std::vector<MatchBinding> matches =
+          StructuralMatcher(graph, motif).FindAllMatches();
+      const Timestamp delta = g == 2 ? 60 : 12;
+      EnumerationSkeleton& skeleton = skeletons[m];
+      ASSERT_TRUE(skeleton.Record(graph, motif, delta, matches, nullptr));
+      ASSERT_TRUE(skeleton.Verify().ok()) << skeleton.Verify();
+
+      FlowPrefixArena real_full;
+      real_full.FillFromGraph(graph);
+      // The extents are exactly the blocks the edges read, each up to
+      // the last entry any edge reads.
+      EXPECT_EQ(skeleton.extents(),
+                ExtentsReadByEdges(skeleton, real_full,
+                                   static_cast<size_t>(graph.num_pairs())))
+          << where;
+      UnionPrefixExtents(skeleton.extents(), &all);
+
+      FlowPrefixArena real_sparse;
+      real_sparse.FillFromGraph(graph, skeleton.extents());
+      EXPECT_TRUE(ExtentsEqual(real_sparse, real_full, skeleton.extents()))
+          << where;
+      FlowPrefixArena full;
+      FlowPrefixArena sparse;
+      SkeletonReplayer replayer(&skeleton);
+      std::vector<Flow> flows;
+      for (const uint64_t draw : {1u, 2u, 19u}) {
+        draws.DrawInto(draw, &flows);
+        full.FillFromFlows(graph, flows);
+        sparse.FillFromDraw(graph, draws, draw, skeleton.extents());
+        EXPECT_TRUE(ExtentsEqual(sparse, full, skeleton.extents()))
+            << where << " draw " << draw;
+        for (const Flow phi : {0.0, 4.0, 9.0}) {
+          EXPECT_EQ(replayer.Count(sparse, phi), replayer.Count(full, phi))
+              << where << " draw " << draw << " phi " << phi;
+        }
+      }
+    }
+    // The union serves every skeleton of the set at once.
+    ASSERT_FALSE(all.empty()) << "graph " << g << " records no read block";
+    FlowPrefixArena full;
+    FlowPrefixArena sparse;
+    std::vector<Flow> flows;
+    draws.DrawInto(5, &flows);
+    full.FillFromFlows(graph, flows);
+    sparse.FillFromDraw(graph, draws, 5, all);
+    for (const EnumerationSkeleton& skeleton : skeletons) {
+      EXPECT_TRUE(ExtentsEqual(sparse, full, skeleton.extents()));
+      SkeletonReplayer replayer(&skeleton);
+      EXPECT_EQ(replayer.Count(sparse, 3.0), replayer.Count(full, 3.0));
+    }
+  }
+}
+
+TEST(SkeletonTest, UnionOfExtentsKeepsTheLongerPrefixPerPair) {
+  std::vector<PrefixExtent> into = {{0, 0, 3}, {2, 10, 12}, {5, 30, 31}};
+  UnionPrefixExtents({{1, 5, 6}, {2, 10, 14}, {5, 30, 30}, {7, 40, 41}},
+                     &into);
+  const std::vector<PrefixExtent> expected = {
+      {0, 0, 3}, {1, 5, 6}, {2, 10, 14}, {5, 30, 31}, {7, 40, 41}};
+  EXPECT_EQ(into, expected);
+  UnionPrefixExtents({}, &into);
+  EXPECT_EQ(into, expected);
 }
 
 TEST(SkeletonTest, TraceBudgetBypassesRecordingCleanly) {

@@ -6,13 +6,15 @@
 #include <random>
 #include <vector>
 
+#include "test_util.h"
+
 namespace flowmotif {
 namespace {
 
 EdgeSeries Series(std::vector<Timestamp> times) {
   std::vector<Interaction> interactions;
   for (Timestamp t : times) interactions.push_back({t, 1.0});
-  return EdgeSeries(interactions);
+  return testing_util::MakeSeries(interactions);
 }
 
 TEST(SlidingWindowTest, PaperFig7WindowPositions) {

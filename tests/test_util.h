@@ -2,6 +2,7 @@
 #define FLOWMOTIF_TESTS_TEST_UTIL_H_
 
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/interaction_graph.h"
@@ -10,6 +11,13 @@
 
 namespace flowmotif {
 namespace testing_util {
+
+/// EdgeSeries::Create for inputs that are valid by construction.
+inline EdgeSeries MakeSeries(std::vector<Interaction> interactions) {
+  StatusOr<EdgeSeries> series = EdgeSeries::Create(std::move(interactions));
+  FLOWMOTIF_CHECK(series.ok()) << series.status();
+  return *std::move(series);
+}
 
 /// Builds a TimeSeriesGraph from (src, dst, t, f) tuples.
 inline TimeSeriesGraph MakeGraph(

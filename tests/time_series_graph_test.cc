@@ -127,8 +127,7 @@ TEST(TimeSeriesGraphTest, VerifyHoldsAfterBuildPermuteAndDeepCopy) {
   }
   for (const auto& [label, g] : graphs) {
     ExpectVerified(g, label);
-    Rng rng(17);
-    ExpectVerified(g.WithPermutedFlows(&rng), label + " permuted");
+    ExpectVerified(g.WithPermutedFlows(17, 1), label + " permuted");
     ExpectVerified(g.DeepCopy(), label + " deep copy");
   }
 }
@@ -164,8 +163,7 @@ TEST(TimeSeriesGraphTest, EmptyGraphStats) {
 
 TEST(TimeSeriesGraphTest, PermutedFlowsKeepsStructureAndTimestamps) {
   TimeSeriesGraph g = PaperFig2Graph();
-  Rng rng(99);
-  TimeSeriesGraph r = g.WithPermutedFlows(&rng);
+  TimeSeriesGraph r = g.WithPermutedFlows(99, 1);
 
   ASSERT_EQ(r.num_pairs(), g.num_pairs());
   for (size_t i = 0; i < static_cast<size_t>(g.num_pairs()); ++i) {
@@ -180,8 +178,7 @@ TEST(TimeSeriesGraphTest, PermutedFlowsKeepsStructureAndTimestamps) {
 
 TEST(TimeSeriesGraphTest, PermutedFlowsPreservesFlowMultiset) {
   TimeSeriesGraph g = PaperFig2Graph();
-  Rng rng(99);
-  TimeSeriesGraph r = g.WithPermutedFlows(&rng);
+  TimeSeriesGraph r = g.WithPermutedFlows(99, 1);
 
   auto collect = [](const TimeSeriesGraph& graph) {
     std::vector<Flow> flows;
@@ -202,8 +199,7 @@ TEST(TimeSeriesGraphTest, PermutedFlowsActuallyShuffles) {
   TimeSeriesGraph g = PaperFig2Graph();
   bool changed = false;
   for (uint64_t seed = 1; seed <= 3 && !changed; ++seed) {
-    Rng rng(seed);
-    TimeSeriesGraph r = g.WithPermutedFlows(&rng);
+    TimeSeriesGraph r = g.WithPermutedFlows(seed, 1);
     for (size_t i = 0; i < static_cast<size_t>(g.num_pairs()); ++i) {
       for (size_t j = 0; j < g.pair(i).series.size(); ++j) {
         if (r.pair(i).series.flow(j) != g.pair(i).series.flow(j)) {
@@ -215,17 +211,14 @@ TEST(TimeSeriesGraphTest, PermutedFlowsActuallyShuffles) {
   EXPECT_TRUE(changed);
 }
 
-TEST(TimeSeriesGraphTest, PermutationIsDeterministicPerSeed) {
+TEST(TimeSeriesGraphTest, PermutationIsDeterministicPerSeedAndDraw) {
   TimeSeriesGraph g = PaperFig2Graph();
-  Rng rng1(7);
-  Rng rng2(7);
-  TimeSeriesGraph a = g.WithPermutedFlows(&rng1);
-  TimeSeriesGraph b = g.WithPermutedFlows(&rng2);
-  for (size_t i = 0; i < static_cast<size_t>(g.num_pairs()); ++i) {
-    for (size_t j = 0; j < g.pair(i).series.size(); ++j) {
-      EXPECT_EQ(a.pair(i).series.flow(j), b.pair(i).series.flow(j));
-    }
-  }
+  TimeSeriesGraph a = g.WithPermutedFlows(7, 3);
+  TimeSeriesGraph b = g.WithPermutedFlows(7, 3);
+  EXPECT_EQ(a.PairOrderFlows(), b.PairOrderFlows());
+  // Other draws and other seeds give other graphs.
+  EXPECT_NE(g.WithPermutedFlows(7, 4).PairOrderFlows(), a.PairOrderFlows());
+  EXPECT_NE(g.WithPermutedFlows(8, 3).PairOrderFlows(), a.PairOrderFlows());
 }
 
 TEST(TimeSeriesGraphTest, DebugStringMentionsCounts) {

@@ -160,9 +160,8 @@ TEST(SharedWindowCacheTest, EnsembleViewsHitTheSameEntries) {
   // corresponding pair of every view, and serving two views inserts
   // nothing new.
   const TimeSeriesGraph graph = RandomGraph(61, 5, 70, 40);
-  Rng rng(17);
-  const TimeSeriesGraph view_a = graph.WithPermutedFlows(&rng);
-  const TimeSeriesGraph view_b = graph.WithPermutedFlows(&rng);
+  const TimeSeriesGraph view_a = graph.WithPermutedFlows(17, 1);
+  const TimeSeriesGraph view_b = graph.WithPermutedFlows(17, 2);
   constexpr Timestamp kDelta = 9;
 
   SharedWindowCache cache(kDelta);
@@ -201,9 +200,8 @@ TEST(SharedWindowCacheTest, ConcurrentEnsembleReadersSeeIdenticalLists) {
   // observe exactly the uncached window list for the underlying
   // timestamp pair, and the entry population stays that of one graph.
   const TimeSeriesGraph graph = RandomGraph(67, 5, 80, 50);
-  Rng rng(23);
-  const TimeSeriesGraph view_a = graph.WithPermutedFlows(&rng);
-  const TimeSeriesGraph view_b = graph.WithPermutedFlows(&rng);
+  const TimeSeriesGraph view_a = graph.WithPermutedFlows(23, 1);
+  const TimeSeriesGraph view_b = graph.WithPermutedFlows(23, 2);
   const TimeSeriesGraph* graphs[] = {&graph, &view_a, &view_b};
   constexpr Timestamp kDelta = 11;
 
@@ -489,8 +487,7 @@ TEST(WindowListMruTest, SlotKeysOnTimestampIdentity) {
   // view of it keeps its slot hit: the view's series share the real
   // series' timestamp identity, so the tier is not asked again.
   const TimeSeriesGraph graph = RandomGraph(19, 5, 70, 40);
-  Rng rng(5);
-  const TimeSeriesGraph view = graph.WithPermutedFlows(&rng);
+  const TimeSeriesGraph view = graph.WithPermutedFlows(5, 1);
   constexpr Timestamp kDelta = 9;
   SharedWindowCache tier(kDelta);
   WindowListMru reader(kDelta, &tier);
